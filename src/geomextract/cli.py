@@ -181,8 +181,9 @@ def _cmd_verify(args) -> int:
         coloring = _read_coloring(args.coloring)
         if len(coloring.colors) != instance.m:
             raise ParseError("coloring length does not match instance")
-        verdict = oracle.check_proper(instance, coloring,
-                                      size_cap=args.size_cap or 60)
+        verdict = oracle.check_proper(
+            instance, coloring, size_cap=args.size_cap or oracle.DEFAULT_SIZE_CAP
+        )
         result = {"verdict": "proper" if verdict.proper else "improper"}
         if not verdict.proper:
             result["monochromatic_edge"] = sorted(verdict.edge)
@@ -216,9 +217,7 @@ def _cmd_bounds(args) -> int:
     }
     try:
         result["extraction_number"] = rational_repr(
-            extraction.exact_extraction_number(
-                instance, size_cap=args.size_cap or extraction.DEFAULT_COVER_CAP
-            )
+            extraction.extraction_number(instance, weight)
         )
     except UnboundedExtractionError:
         result["extraction_number"] = "unbounded"

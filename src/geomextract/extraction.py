@@ -275,10 +275,15 @@ def exact_extraction_number(
     instance: Instance, size_cap: int = DEFAULT_COVER_CAP
 ) -> Fraction:
     """Smallest alpha achievable on the instance: W / (W - mincover)."""
+    _, w_cover = exact_min_cover(instance, size_cap=size_cap)
+    return extraction_number(instance, w_cover)
+
+
+def extraction_number(instance: Instance, w_cover: Fraction) -> Fraction:
+    """W / (W - w_cover), given the weight of a minimum cover."""
     if instance.m == 0:
         raise ValueError("empty instance has no extraction number")
     w_all = total_weight(instance, instance.indices())
-    _, w_cover = exact_min_cover(instance, size_cap=size_cap)
     if w_cover == w_all:
         raise UnboundedExtractionError(
             "every cover takes all weight; extraction number is unbounded"

@@ -1,32 +1,36 @@
 """Independent brute-force ground truth for induced hypergraphs.
 
 The hypergraph of a set of objects has one hyperedge per arrangement cell:
-the set of objects covering that cell. For the classes handled here every
-cell boundary is axis-parallel (or one of three fixed directions for plane
-triangles), so the covering combinatorics is constant between consecutive
-"event" coordinates. Candidate points at all events plus midpoints between
-consecutive events therefore witness every cell. That claim is not assumed:
-it is tested against dumb dense sampling (see enumerate_hyperedges_dense),
-and every returned witness is re-checked with core.depth.
+the set of objects covering that cell. Every supported object is a box: a
+product of closed per-axis extents [lo, hi]. An extent may be degenerate
+(lo == hi, the line of a segment or of a ray) or open on one side (a ray,
+an octant). Membership is therefore a conjunction of per-axis conditions,
+and on each axis it can change only at an "event", an extent endpoint.
+Candidate coordinates at all events, midpoints between consecutive events,
+and one sentinel past the extreme event on each side where some extent is
+open witness every cell. Each axis yields one bitmask of covering objects
+per candidate, and the covering set at a grid point is the intersection of
+its per-axis masks. That claim is not assumed: it is tested against dumb
+dense sampling (see enumerate_hyperedges_dense), and every returned witness
+is re-checked with core.depth.
 
-Membership of every supported object is a conjunction of per-axis
-conditions, so the grid evaluation factors into per-axis bitmasks whose
-intersection at a grid point is exactly the covering set.
+Plane triangles (octant projections) have a slanted side and are
+enumerated separately, by horizontal slices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 from . import core
 from .core import (
+    AlgorithmInvariantError,
     Axis,
     Coloring,
     Instance,
     Interval,
-    ObjectClass,
     PlaneTriangle,
     Ray,
     Segment,
@@ -50,9 +54,6 @@ class HyperedgeSet:
     def sorted_edges(self) -> list:
         return sorted(self.edges, key=lambda e: (len(e), sorted(e)))
 
-    def pair_edges(self) -> list:
-        return [e for e in self.sorted_edges() if len(e) == 2]
-
     def __len__(self) -> int:
         return len(self.edges)
 
@@ -72,76 +73,66 @@ class CoverVerdict:
 
 
 # ---------------------------------------------------------------------------
-# Candidate coordinates
+# Box model and event grid
 # ---------------------------------------------------------------------------
 
 def _with_midpoints(values: Iterable[Fraction]) -> list:
     vals = sorted(set(values))
-    out = list(vals)
+    out = vals[:1]
     for a, b in zip(vals, vals[1:]):
-        out.append(Fraction(a + b, 2))
-    return sorted(out)
+        out += (Fraction(a + b, 2), b)
+    return out
 
 
-def _segment_events(objects: Sequence) -> tuple:
-    xs, ys = set(), set()
-    for s in objects:
-        if s.axis is Axis.HORIZONTAL:
-            xs.update((s.lo, s.hi))
-            ys.add(s.line)
-        else:
-            xs.add(s.line)
-            ys.update((s.lo, s.hi))
-    return xs, ys
+def _box(obj) -> tuple:
+    """Per-axis closed extents (lo, hi) of obj; None marks an open end."""
+    if isinstance(obj, Interval):
+        return ((obj.a, obj.b),)
+    if isinstance(obj, Segment):
+        run, line = (obj.lo, obj.hi), (obj.line, obj.line)
+        return (run, line) if obj.axis is Axis.HORIZONTAL else (line, run)
+    if isinstance(obj, Ray):
+        ax, ay = obj.apex
+        return {
+            1: ((ax, None), (ay, ay)),
+            2: ((None, ax), (ay, ay)),
+            3: ((ax, ax), (ay, None)),
+            4: ((ax, ax), (None, ay)),
+        }[obj.orientation]
+    return tuple((v, None) for v in obj.apex)
 
 
-def _ray_events(objects: Sequence) -> tuple:
-    xs = {r.apex[0] for r in objects}
-    ys = {r.apex[1] for r in objects}
-    # Sentinels strictly beyond every apex: past them no membership changes,
-    # so one representative on each side witnesses the unbounded cells.
-    xs.update((min(xs) - 1, max(xs) + 1))
-    ys.update((min(ys) - 1, max(ys) + 1))
-    return xs, ys
+def _axis_candidates(extents: Sequence[tuple]) -> tuple:
+    """Candidate coordinates on one axis and the objects covering each.
 
-
-# ---------------------------------------------------------------------------
-# Per-axis condition masks
-# ---------------------------------------------------------------------------
-
-def _axis_masks_2d(objects: Sequence, xcands: list, ycands: list) -> tuple:
-    xmask = [0] * len(xcands)
-    ymask = [0] * len(ycands)
-    for i, obj in enumerate(objects):
+    Returns parallel lists (values, masks), ascending, keeping only the
+    first candidate of each distinct nonzero mask: any later candidate with
+    the same mask meets every other axis in cells already visited.
+    """
+    events = {v for ext in extents for v in ext if v is not None}
+    # One sentinel past the extreme event on each open side: no membership
+    # changes beyond that event, so the sentinel (below) or the midpoint
+    # toward it (above) is the first witness of the unbounded cell.
+    if any(lo is None for lo, _ in extents):
+        events.add(min(events) - 1)
+    if any(hi is None for _, hi in extents):
+        events.add(max(events) + 1)
+    cands = _with_midpoints(events)
+    pos = {v: k for k, v in enumerate(cands)}
+    # Every extent starts and ends at an event, so each object covers one
+    # contiguous run of candidates: toggle its bit at both ends of the run.
+    toggles = [0] * (len(cands) + 1)
+    for i, (lo, hi) in enumerate(extents):
         bit = 1 << i
-        if isinstance(obj, Segment):
-            if obj.axis is Axis.HORIZONTAL:
-                xcond = lambda x, o=obj: o.lo <= x <= o.hi
-                ycond = lambda y, o=obj: y == o.line
-            else:
-                xcond = lambda x, o=obj: x == o.line
-                ycond = lambda y, o=obj: o.lo <= y <= o.hi
-        else:
-            ax, ay = obj.apex
-            if obj.orientation == 1:
-                xcond = lambda x, v=ax: x >= v
-                ycond = lambda y, v=ay: y == v
-            elif obj.orientation == 2:
-                xcond = lambda x, v=ax: x <= v
-                ycond = lambda y, v=ay: y == v
-            elif obj.orientation == 3:
-                xcond = lambda x, v=ax: x == v
-                ycond = lambda y, v=ay: y >= v
-            else:
-                xcond = lambda x, v=ax: x == v
-                ycond = lambda y, v=ay: y <= v
-        for k, x in enumerate(xcands):
-            if xcond(x):
-                xmask[k] |= bit
-        for k, y in enumerate(ycands):
-            if ycond(y):
-                ymask[k] |= bit
-    return xmask, ymask
+        toggles[0 if lo is None else pos[lo]] ^= bit
+        toggles[len(cands) if hi is None else pos[hi] + 1] ^= bit
+    first: dict = {}
+    mask = 0
+    for v, t in zip(cands, toggles):
+        mask ^= t
+        if mask:
+            first.setdefault(mask, v)
+    return list(first.values()), list(first)
 
 
 def _mask_members(mask: int) -> frozenset:
@@ -155,75 +146,28 @@ def _mask_members(mask: int) -> frozenset:
     return frozenset(out)
 
 
-# ---------------------------------------------------------------------------
-# Enumeration per class
-# ---------------------------------------------------------------------------
-
-def _edges_intervals(objects: Sequence) -> dict:
-    cands = _with_midpoints(v for o in objects for v in (o.a, o.b))
+def _grid_edges(objects: Sequence) -> dict:
+    """First witness of every covering set of size >= 2, x-major order."""
+    boxes = [_box(o) for o in objects]
+    axes = [_axis_candidates([b[d] for b in boxes]) for d in range(len(boxes[0]))]
+    *outer, (last_vals, last_masks) = axes
+    prefixes = [(-1, ())]  # (covering mask so far, point so far)
+    for vals, masks in outer:
+        prefixes = [
+            (m & am, pt + (v,))
+            for m, pt in prefixes
+            for v, am in zip(vals, masks)
+            if m & am
+        ]
     edges: dict = {}
-    for x in cands:
-        cov = frozenset(i for i, o in enumerate(objects) if o.a <= x <= o.b)
-        if len(cov) >= 2 and cov not in edges:
-            edges[cov] = (x,)
-    return edges
-
-
-def _edges_2d(objects: Sequence) -> dict:
-    if isinstance(objects[0], Ray):
-        xs, ys = _ray_events(objects)
-    else:
-        xs, ys = _segment_events(objects)
-    xcands = _with_midpoints(xs)
-    ycands = _with_midpoints(ys)
-    xmask, ymask = _axis_masks_2d(objects, xcands, ycands)
-    edges: dict = {}
-    seen = {}
-    for kx, mx in enumerate(xmask):
-        if not mx:
-            continue
-        for ky, my in enumerate(ymask):
-            m = mx & my
-            if m and m not in seen:
-                seen[m] = True
-                if m.bit_count() >= 2:
-                    edges[_mask_members(m)] = (xcands[kx], ycands[ky])
-    return edges
-
-
-def _edges_octants(objects: Sequence) -> dict:
-    axes_cands = []
-    for d in range(3):
-        vals = sorted({o.apex[d] for o in objects})
-        cands = _with_midpoints(vals)
-        cands.append(vals[-1] + 1)
-        axes_cands.append(cands)
-    masks = []
-    for d in range(3):
-        col = []
-        for v in axes_cands[d]:
-            m = 0
-            for i, o in enumerate(objects):
-                if o.apex[d] <= v:
-                    m |= 1 << i
-            col.append(m)
-        masks.append(col)
-    edges: dict = {}
-    seen = {}
-    xs, ys, zs = axes_cands
-    for kx, mx in enumerate(masks[0]):
-        if not mx:
-            continue
-        for ky, my in enumerate(masks[1]):
-            mxy = mx & my
-            if not mxy:
-                continue
-            for kz, mz in enumerate(masks[2]):
-                m = mxy & mz
-                if m and m not in seen:
-                    seen[m] = True
-                    if m.bit_count() >= 2:
-                        edges[_mask_members(m)] = (xs[kx], ys[ky], zs[kz])
+    seen = set()
+    for m, pt in prefixes:
+        for v, am in zip(last_vals, last_masks):
+            cell = m & am
+            if cell and cell not in seen:
+                seen.add(cell)
+                if cell & (cell - 1):
+                    edges[_mask_members(cell)] = pt + (v,)
     return edges
 
 
@@ -256,45 +200,33 @@ def enumerate_triangle_hyperedges(triangles: Sequence[PlaneTriangle]) -> Hypered
             cov = frozenset(i for i, lo, hi in active if lo <= u <= hi)
             if len(cov) >= 2 and cov not in edges:
                 edges[cov] = (u, v)
-    es = HyperedgeSet(edges)
     for edge, (u, v) in edges.items():
         got = frozenset(
             i for i, t in enumerate(triangles) if triangle_contains(t, u, v)
         )
-        assert got == edge, "triangle slice witness disagrees with membership"
-    return es
+        if got != edge:
+            raise AlgorithmInvariantError(
+                "triangle slice witness disagrees with membership",
+                witness=(u, v),
+            )
+    return HyperedgeSet(edges)
 
 
 def enumerate_hyperedges(
-    subject: Union[Instance, Sequence[PlaneTriangle]],
-    size_cap: int = DEFAULT_SIZE_CAP,
+    instance: Instance, size_cap: int = DEFAULT_SIZE_CAP
 ) -> HyperedgeSet:
-    """All covering sets of size >= 2 realized by some point, with witnesses.
-
-    Accepts an Instance of any object class, or a list of PlaneTriangle
-    (used internally by the octant pipeline).
-    """
-    if not isinstance(subject, Instance):
-        triangles = list(subject)
-        if len(triangles) > size_cap:
-            raise SizeCapError(f"{len(triangles)} triangles exceed cap {size_cap}")
-        return enumerate_triangle_hyperedges(triangles)
-
-    instance = subject
+    """All covering sets of size >= 2 realized by some point, with witnesses."""
     if instance.m > size_cap:
         raise SizeCapError(f"{instance.m} objects exceed cap {size_cap}")
     if instance.m == 0:
         return HyperedgeSet({})
-    if instance.cls is ObjectClass.INTERVALS:
-        edges = _edges_intervals(instance.objects)
-    elif instance.cls is ObjectClass.OCTANTS:
-        edges = _edges_octants(instance.objects)
-    else:
-        edges = _edges_2d(instance.objects)
+    edges = _grid_edges(instance.objects)
     # Depth consistency: each witness realizes exactly its edge.
     for edge, witness in edges.items():
-        n, cov = core.depth(instance, witness)
-        assert cov == edge, "oracle witness disagrees with core.depth"
+        if core.depth(instance, witness)[1] != edge:
+            raise AlgorithmInvariantError(
+                "oracle witness disagrees with core.depth", witness=witness
+            )
     return HyperedgeSet(edges)
 
 

@@ -23,6 +23,7 @@ from geomextract.core import (
     SizeCapError,
     triangle_contains,
 )
+from geomextract.oracle import enumerate_triangle_hyperedges
 
 
 def _oct(a, b, c):
@@ -146,7 +147,7 @@ def test_plane_only_constraints_insufficient_regression():
     assert dag.nondominated == tuple(range(7))
     kept = list(inst.objects)
     tris = project(kept, compute_cmax(kept))
-    plane_edges = enumerate_hyperedges(tris).edge_set
+    plane_edges = enumerate_triangle_hyperedges(tris).edge_set
     cell_edges = enumerate_hyperedges(inst).edge_set
     assert not (cell_edges <= plane_edges)
     col = color_octants(inst)
@@ -171,7 +172,7 @@ def test_triangle_slices_match_dense_sampling():
         dag = compute_domination(octs)
         kept = [octs[i] for i in dag.nondominated]
         tris = project(kept, compute_cmax(kept))
-        got = enumerate_hyperedges(tris).edge_set
+        got = enumerate_triangle_hyperedges(tris).edge_set
 
         u_lo = min(t.a for t in tris) - 1
         u_hi = max(t.s - t.b for t in tris) + 1

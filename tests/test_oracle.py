@@ -16,7 +16,17 @@ from geomextract import (
     gen_random,
     make_instance,
 )
-from geomextract.core import Interval, Octant, SizeCapError
+from geomextract import docio, oracle
+from geomextract.core import (
+    AlgorithmInvariantError,
+    Axis,
+    Interval,
+    Octant,
+    PlaneTriangle,
+    Ray,
+    Segment,
+    SizeCapError,
+)
 
 
 def test_two_overlapping_intervals_single_edge():
@@ -71,16 +81,37 @@ def test_grid_matches_dense_sampling_all_classes():
 
 
 def test_grid_matches_dense_on_fractional_coordinates():
-    # events 0, 2/7, 1/2: the sampling lattice must still hit all of them
-    inst = make_instance(
-        ObjectClass.INTERVALS,
-        [Interval(F(0), F(2, 7)), Interval(F(2, 7), F(1, 2)),
-         Interval(F(1, 4), F(3))],
-    )
-    assert (
-        enumerate_hyperedges(inst).edge_set
-        == enumerate_hyperedges_dense(inst).edge_set
-    )
+    # Events such as 0, 2/7, 1/2 on every axis: the sampling lattice must
+    # still hit all of them, and degenerate and open extents must meet them.
+    cases = [
+        make_instance(
+            ObjectClass.INTERVALS,
+            [Interval(F(0), F(2, 7)), Interval(F(2, 7), F(1, 2)),
+             Interval(F(1, 4), F(3))],
+        ),
+        make_instance(
+            ObjectClass.SEGMENTS,
+            [Segment(Axis.HORIZONTAL, F(1, 2), F(0), F(2, 7)),
+             Segment(Axis.VERTICAL, F(2, 7), F(1, 4), F(3, 2)),
+             Segment(Axis.HORIZONTAL, F(1, 2), F(1, 4), F(1)),
+             Segment(Axis.VERTICAL, F(0), F(1, 2), F(1))],
+        ),
+        make_instance(
+            ObjectClass.RAYS,
+            [Ray(1, (F(2, 7), F(1, 2))), Ray(2, (F(1, 2), F(1, 2))),
+             Ray(3, (F(1, 3), F(0))), Ray(4, (F(1, 3), F(1, 2))),
+             Ray(2, (F(0), F(1, 4)))],
+        ),
+        make_instance(
+            ObjectClass.OCTANTS,
+            [Octant((F(0), F(1, 2), F(1, 3))), Octant((F(1, 3), F(0), F(1, 2))),
+             Octant((F(1, 2), F(1, 3), F(0))), Octant((F(1, 3), F(1, 3), F(1, 3)))],
+        ),
+    ]
+    for inst in cases:
+        grid = enumerate_hyperedges(inst)
+        assert len(grid) >= 2, inst.cls
+        assert grid.edge_set == enumerate_hyperedges_dense(inst).edge_set, inst.cls
 
 
 def test_size_cap():
@@ -132,10 +163,98 @@ def test_octant_sentinel_catches_far_cells():
 
 
 def test_ray_unbounded_overlap_detected():
-    from geomextract.core import Ray
-
     inst = make_instance(
         ObjectClass.RAYS, [Ray(1, (F(0), F(0))), Ray(1, (F(4), F(0)))]
     )
     hes = enumerate_hyperedges(inst)
     assert hes.edge_set == frozenset({frozenset({0, 1})})
+
+
+def test_ray_lower_sentinel_witness():
+    # {0, 1} lives only left of x = 0, past every apex on the open side
+    inst = make_instance(
+        ObjectClass.RAYS,
+        [Ray(2, (F(0), F(0))), Ray(2, (F(5), F(0))), Ray(1, (F(0), F(0)))],
+    )
+    hes = enumerate_hyperedges(inst)
+    assert hes.edges[frozenset({0, 1})] == (F(-1), F(0))
+
+
+def test_witness_disagreeing_with_depth_raises_with_witness(monkeypatch):
+    inst = gen_interval_pair()
+    witness = enumerate_hyperedges(inst).edges[frozenset({0, 1})]
+    monkeypatch.setattr(oracle.core, "depth", lambda instance, p: (0, frozenset()))
+    with pytest.raises(AlgorithmInvariantError) as err:
+        enumerate_hyperedges(inst)
+    assert err.value.witness == witness
+
+    tris = [PlaneTriangle(F(0), F(0), F(2)), PlaneTriangle(F(1), F(0), F(3))]
+    witness = oracle.enumerate_triangle_hyperedges(tris).edges[frozenset({0, 1})]
+    monkeypatch.setattr(oracle, "triangle_contains", lambda t, u, v: False)
+    with pytest.raises(AlgorithmInvariantError) as err:
+        oracle.enumerate_triangle_hyperedges(tris)
+    assert err.value.witness == witness
+
+
+# instance_digest(gen_random(cls, n, seed)) for n in (8, 30), seeds 0-4.
+# Target points are oracle witnesses, so these pin every witness.
+_RANDOM_DIGESTS = {
+    "intervals": [
+        "6f56d6ec61344dd35271070ff0decedb2d4e41d00397c642d988301f02516eb4",
+        "2384856e1f309e6c44ad5073b97c02fc26bb1df50c7060ac54a603b79a565ba8",
+        "e8abb3c5d5c5a6e9e0c78a344eea35ccd366e6a56ba10e8c8e12db79a0529433",
+        "180596d761a17b39ff5bdb0ab43b41dc8989c167dd1a0d953834979eeecf6706",
+        "a58ae28fa53f96d865e8c9708245f09b226256773fc1bd8a3edacded05ebdbd4",
+        "79ae641e55efd134a8805b03d1ce90c809a4adbed3857843f446ecd214b2dd82",
+        "3ac17a2d1bea0eb15b4e0e17d5bf6ac487153235744de9db4bfa9a15ef9c8720",
+        "329e2ecdccd25e689b2c802c8fcb021e03b94393a8c4529a5b604af59bad7af7",
+        "9816f0ff9fb8fbea42f5bfcb0a9afdbbe605d4ec3670b76574fab07b6bd0bed2",
+        "3d8c127e9d308f4a20b7a3de310aac1a533cb84cfbfa022d5dad451d15804df2",
+    ],
+    "segments": [
+        "250a7186efad4a4c5784e74c85a809031183440bd15c7ddca907d1abddbf563b",
+        "c688f8ebed48704f6dc287abcc73ae4c15f8233e9279ab6978ee7660bdbd7b43",
+        "6f6bf93ef7b818ae663f41fd6d1a999b030d27ceca29932fe58156f7aa9c826c",
+        "c52b28637caf5ae92ebfd627a8011c2a7125aaf1b24856874d3868abc0f6fedc",
+        "bc9887810d71239bd9357bb2dcbc8c0989a948b08a4183da3517d6b9ba8f9ebe",
+        "4900594ddc5fd7c984aab1f7dc28c78169479c6dc257b9115e08b83f6f0d926d",
+        "42dd0088613341344dd60b477c91b6e39a92cab7abfb5061357fad1ba1f880fe",
+        "931b488ed8dcfb20fecb591e995bd4f3fd26c6ef76a23fd3470a1bb3ece9bd78",
+        "71049c4d04dc56a6652f5200ba6c2155590e96314601b7fc47340ac46bf185b6",
+        "4e2bbddf59dfb6e43f6249413666e3c3ccf0339d6170782f9dc189375dd8174e",
+    ],
+    "rays": [
+        "76e9e29136bb96455820cea0b8c7e13274b20672fb49e73d06b5039650c4441b",
+        "efd450229db8007ab325726cedf126f71c685055e3fc786aca8def8c6f7e4fd0",
+        "118cb87079f4d77021788435f36b9ceb175bc55760e7f33b002c527e396b6c17",
+        "8a67a3036c1fc63105d2aa7ef2d16e5937672c860b8e27b97b06b78258f65991",
+        "c20c6fb86c2fcde3cde29f4e45080fe385b6ab8a01b068a540f1fe1a5ea6c9e8",
+        "af3fe4fdb8a5bb1aa1a542a42b45ac21cd98c7c1ce08e42a083a78d92fb42205",
+        "a4ff33d9f0d8447d38f85ad929b37f8bb1996cda8ba37040cecd678bf05cfdc1",
+        "dcc112c9256ddf268f7e53068b2f7e2526d8de333e1961c4b66c3f2f9f9b551e",
+        "910bdaf874d66e9cccfe49de650264efc6a1e1e485e6da9c4c0073f0bbd3a991",
+        "715207cefab213c15ab1391f191839c78ba96a16b8250a64a70b421dd83e7b59",
+    ],
+    "octants": [
+        "f1d873d4632e2847ec600fdf9fa059c9681d5a58d608c33711ef2bec6f90471f",
+        "dc98c0559b2c9731679bff38de3bc65f1c34eb33e3a89e8f42f864f95efe2942",
+        "5d591040e338cfc291c8519acdb77e5a2f22c4c03181d9d82747fc156c7533af",
+        "989848890d6034efba9a1b8ea9962214b2319cb2fbb0faaf441d6af052047af1",
+        "72ae73a3f212bfb73271ff45dcbd555ae4e6aaea5c25002d8f2d2a303cd6ffe1",
+        "84e6e17476666909b3694c83a987386bbc12b0599acc8b2e9e0bd878f88011c5",
+        "77e7076b77885fc4271fe10205000c85e6f79a8bad3130e65d037db03807d6a3",
+        "863208a85f5914b8cd7e9f65381bb4f85ed9533e9bc899cc90a7ba413ce13e7d",
+        "b4c1e4a129464fce188363d0fee2e9dda392eb7ecef26767f314724e47ff4501",
+        "efc96e792b4c7ac690c76db5ce5b9b8c9f011267b66d3b1adcd3fcb2ea5773c4",
+    ],
+}
+
+
+def test_random_instance_digests_pin_witnesses():
+    for cls in ObjectClass:
+        got = [
+            docio.instance_digest(gen_random(cls, n, seed))
+            for n in (8, 30)
+            for seed in range(5)
+        ]
+        assert got == _RANDOM_DIGESTS[cls.value], cls
