@@ -2,8 +2,11 @@
 
 Subcommands: gen, color, extract, verify, bounds, render. Each invocation
 handles one instance and prints a JSON report to stdout; --out writes the
-payload document (instance, coloring, or SVG) as a whole file only after it
-was fully computed, so failures leave no partial output.
+payload document (instance, coloring, or SVG) only after it was fully
+computed, to a fresh temporary file in the target's directory that then
+replaces the target, so failures leave no partial output and an existing
+target stays as it was when the write fails. An --out path that cannot be
+written exits 2, like an input that cannot be read.
 
 Exit codes: 0 success, 2 parse or class errors, 3 size caps, 4 algorithm
 invariant violations (including an improper supplied coloring), 5 depth
@@ -14,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from typing import Optional
@@ -71,8 +75,33 @@ def _read_coloring(path: str) -> Coloring:
 
 
 def _write_out(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    """Write text to a fresh file next to path, then move it onto path.
+
+    The old file is unlinked before the rename rather than truncated or
+    renamed over: either of those makes some filesystems (ext4 with
+    auto_da_alloc) flush the new data, tens of milliseconds per write. A
+    failed write removes the temporary file and leaves the old one as it
+    was. Crash durability is not promised.
+    """
+    directory, name = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from None
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        try:
+            os.unlink(path)
+        except FileNotFoundError:
+            pass
+        os.rename(tmp, path)
+    except BaseException as exc:
+        os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise ParseError(f"cannot write {path}: {exc}") from None
+        raise
 
 
 def _report(command: str, instance: Optional[Instance], result: dict,

@@ -14,6 +14,7 @@ from typing import List, Optional
 
 from . import core, extraction, oracle
 from .core import (
+    AlgorithmInvariantError,
     Axis,
     Instance,
     Interval,
@@ -37,7 +38,11 @@ def gen_interval_pair() -> Instance:
         meta={"generator": "interval-pair"},
     )
     n, cov = core.depth(instance, instance.points[0])
-    assert n == 2 and cov == frozenset({0, 1})
+    if n != 2 or cov != frozenset({0, 1}):
+        raise AlgorithmInvariantError(
+            f"interval pair point has cover {sorted(cov)}",
+            witness=instance.points[0],
+        )
     return instance
 
 
@@ -105,10 +110,16 @@ def gen_kbox(k: int) -> Instance:
         ObjectClass.SEGMENTS, segments, points=points,
         meta={"generator": "kbox", "k": k},
     )
-    assert instance.m == 4 * k * k
+    if instance.m != 4 * k * k:
+        raise AlgorithmInvariantError(
+            f"k-box has {instance.m} segments, not {4 * k * k}", witness=k
+        )
     for p in instance.points:
         n, _ = core.depth(instance, p)
-        assert n == 2, f"k-box cross {p} has depth {n}"
+        if n != 2:
+            raise AlgorithmInvariantError(
+                f"k-box cross {p} has depth {n}", witness=p
+            )
     return instance
 
 
@@ -124,8 +135,14 @@ def gen_kbox_rays(k: int) -> Instance:
     # Segments come in meeting pairs: (left, right) or (down, up).
     for t in range(0, seg_instance.m, 2):
         first, second = seg_instance.objects[t], seg_instance.objects[t + 1]
-        assert first.axis is second.axis and first.line == second.line
-        assert first.hi == second.lo, "segment pair does not meet"
+        if first.axis is not second.axis or first.line != second.line:
+            raise AlgorithmInvariantError(
+                "segment pair not on one line", witness=(first, second)
+            )
+        if first.hi != second.lo:
+            raise AlgorithmInvariantError(
+                "segment pair does not meet", witness=(first, second)
+            )
         meet = first.hi
         if first.axis is Axis.HORIZONTAL:
             rays.append(Ray(2, (meet, first.line)))
@@ -139,7 +156,10 @@ def gen_kbox_rays(k: int) -> Instance:
     )
     for p in instance.points:
         n, _ = core.depth(instance, p)
-        assert n == 2, f"k-box ray cross {p} has depth {n}"
+        if n != 2:
+            raise AlgorithmInvariantError(
+                f"k-box ray cross {p} has depth {n}", witness=p
+            )
     return instance
 
 
@@ -177,11 +197,20 @@ def gen_rayfan(k: int) -> Instance:
                     if core.contains(left, (f(j), f(i)))}
         met_right = {j for j in range(1, k + 1)
                      if core.contains(right, (f(j), f(i)))}
-        assert met_left == set(range(1, i + 1)), "left ray misses its up-rays"
-        assert met_right == set(range(i + 1, k + 1)), "right ray misses its up-rays"
+        if met_left != set(range(1, i + 1)):
+            raise AlgorithmInvariantError(
+                "left ray misses its up-rays", witness=left
+            )
+        if met_right != set(range(i + 1, k + 1)):
+            raise AlgorithmInvariantError(
+                "right ray misses its up-rays", witness=right
+            )
     for p in instance.points:
         n, _ = core.depth(instance, p)
-        assert n == 2, f"ray fan point {p} has depth {n}"
+        if n != 2:
+            raise AlgorithmInvariantError(
+                f"ray fan point {p} has depth {n}", witness=p
+            )
     return instance
 
 
@@ -220,11 +249,15 @@ def gen_octant4() -> Instance:
     )
     for pair, p in zip(sorted(_OCTANT4_WITNESSES), instance.points):
         n, cov = core.depth(instance, p)
-        assert n == 2 and cov == frozenset(pair), (
-            f"octant pair cell {pair} not realized at {p}"
+        if n != 2 or cov != frozenset(pair):
+            raise AlgorithmInvariantError(
+                f"octant pair cell {pair} not realized at {p}", witness=p
+            )
+    cover, weight = extraction.exact_min_cover(instance)
+    if weight != 3:
+        raise AlgorithmInvariantError(
+            "four-octant instance must need 3 octants to cover", witness=cover
         )
-    _, weight = extraction.exact_min_cover(instance)
-    assert weight == 3, "four-octant instance must need 3 octants to cover"
     return instance
 
 
@@ -335,5 +368,8 @@ def gen_random(cls: ObjectClass, n: int, seed: int) -> Instance:
     )
     for p in instance.points:
         n_cov, _ = core.depth(instance, p)
-        assert n_cov >= 2
+        if n_cov < 2:
+            raise AlgorithmInvariantError(
+                f"random target point has depth {n_cov}", witness=p
+            )
     return instance

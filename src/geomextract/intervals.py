@@ -5,7 +5,7 @@ built: the first key starts leftmost (ties: longest, then lowest index), and
 each successor starts inside the current key, ends strictly later, and ends
 last. Keys are colored along the chain; every non-key interval falls into
 exactly one of three containment cases relative to the keys, which fixes its
-color. The case analysis is asserted, never assumed: an interval matching no
+color. The case analysis is checked, never assumed: an interval matching no
 case raises AlgorithmInvariantError instead of being colored silently.
 """
 
@@ -78,18 +78,24 @@ def build_key_chain(pairs: Sequence[Pair], component: Sequence[int]) -> KeyChain
     for j in range(len(keys) - 1):
         aj, bj = pairs[keys[j]]
         an, bn = pairs[keys[j + 1]]
-        assert aj <= an <= bj < bn, "key chain shape violated"
+        if not aj <= an <= bj < bn:
+            raise AlgorithmInvariantError(
+                "key chain shape violated", witness=(keys[j], keys[j + 1])
+            )
     # Non-consecutive keys are disjoint (the chain observation).
     for j in range(len(keys) - 2):
-        assert pairs[keys[j]][1] < pairs[keys[j + 2]][0], (
-            "key chain observation violated: non-neighbor keys intersect"
-        )
+        if pairs[keys[j]][1] >= pairs[keys[j + 2]][0]:
+            raise AlgorithmInvariantError(
+                "key chain observation violated: non-neighbor keys intersect",
+                witness=(keys[j], keys[j + 2]),
+            )
     # Keys cover the whole component.
     lo = min(pairs[i][0] for i in component)
     hi = max(pairs[i][1] for i in component)
-    assert pairs[keys[0]][0] == lo and pairs[keys[-1]][1] == hi, (
-        "key chain does not span the component"
-    )
+    if pairs[keys[0]][0] != lo or pairs[keys[-1]][1] != hi:
+        raise AlgorithmInvariantError(
+            "key chain does not span the component", witness=tuple(keys)
+        )
     return KeyChain(tuple(component), tuple(keys))
 
 

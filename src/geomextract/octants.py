@@ -1,20 +1,30 @@
 """Proper 4-coloring of octants toward (+inf,+inf,+inf).
 
 Pipeline: discard dominated octants (an octant dominates another when it
-contains it, i.e. its apex is coordinatewise smaller), project the
-nondominated ones onto the plane x+y+z = c_max as homothetic right
-triangles, color, and give each dominated octant a color different from its
-chosen dominator.
+contains it, i.e. its apex is coordinatewise smaller), color the
+nondominated ones against the minimal hyperedges of their arrangement, give
+each dominated octant a color different from its chosen dominator, and
+verify the whole coloring against the grid oracle before returning it.
 
-The projected triangles intersect pairwise by the choice of c_max, but a
-point can be covered by exactly two octants somewhere off that plane while
-their triangles' common region is hidden under other triangles on it. A
-coloring proper merely for the triangle arrangement can therefore leave such
-an off-plane cell monochromatic (random antichains exhibit this). The
-coloring search is hence constrained by the full arrangement hypergraph of
-the nondominated octants, of which the triangle hypergraph is a subset; the
-returned coloring is finally verified proper on the whole instance and the
-module errors rather than return anything unverified.
+The minimal hyperedges come from pairwise apex joins. A point covered by
+octants i and j lies above join(a_i, a_j), the coordinatewise max of their
+apexes, so its covering set contains the cover of that join, which is a
+hyperedge itself (realized at the join). Hence the inclusion-minimal
+hyperedges are exactly the minimal sets among the m(m-1)/2 join covers, and
+a coloring is proper iff none of them is monochromatic. The search accepts
+and prunes exactly the partial colorings it would on the full hypergraph:
+the size-2 edges are the same, and every hyperedge contains a minimal one.
+Apexes are compressed to integer ranks once per axis, so joins and covers
+are ints and bitmasks rather than Fractions.
+
+The triangle view stays: compute_cmax places the plane that rendering
+draws, and project and color_triangles remain for tests and for studying
+the plane construction, in which the nondominated octants cut the plane
+x+y+z = c_max in pairwise intersecting homothetic right triangles. It is
+not on the coloring path: a point can be covered by exactly two octants off
+that plane while their triangles' common region is hidden under other
+triangles on it, so a coloring proper on the triangles alone can be
+improper in 3D.
 """
 
 from __future__ import annotations
@@ -101,9 +111,11 @@ def compute_cmax(octants: Sequence[Octant]) -> Fraction:
 def project(octants: Sequence[Octant], c_max: Fraction) -> List[PlaneTriangle]:
     """Triangles {u >= a_i, v >= b_i, u+v <= c_max - c_i} of a nondominated set.
 
-    Asserts the two facts the construction guarantees: every pair of
-    triangles intersects (c_ij <= c_max) and none contains another
-    (nondominance).
+    The triangle view of the octants on the plane x+y+z = c_max;
+    color_octants does not call it. Checks the two facts the construction
+    guarantees, raising AlgorithmInvariantError with the offending pair:
+    every pair of triangles intersects (c_ij <= c_max) and none contains
+    another (nondominance).
     """
     triangles = []
     for o in octants:
@@ -117,14 +129,59 @@ def project(octants: Sequence[Octant], c_max: Fraction) -> List[PlaneTriangle]:
         ti = triangles[i]
         for j in range(i + 1, len(triangles)):
             tj = triangles[j]
-            assert max(ti.a, tj.a) + max(ti.b, tj.b) <= min(ti.s, tj.s), (
-                "projected triangles fail to intersect pairwise"
-            )
+            if max(ti.a, tj.a) + max(ti.b, tj.b) > min(ti.s, tj.s):
+                raise AlgorithmInvariantError(
+                    "projected triangles fail to intersect pairwise",
+                    witness=(ti, tj),
+                )
             for t1, t2 in ((ti, tj), (tj, ti)):
-                assert not (
-                    t1.a >= t2.a and t1.b >= t2.b and t1.s <= t2.s
-                ), "a projected triangle contains another"
+                if t1.a >= t2.a and t1.b >= t2.b and t1.s <= t2.s:
+                    raise AlgorithmInvariantError(
+                        "a projected triangle contains another",
+                        witness=(t1, t2),
+                    )
     return triangles
+
+
+# ---------------------------------------------------------------------------
+# Minimal hyperedges from pairwise apex joins
+# ---------------------------------------------------------------------------
+
+def join_cover_edges(octants: Sequence[Octant]) -> List[frozenset]:
+    """Inclusion-minimal hyperedges of the octants, sorted by (len, sorted).
+
+    Each hyperedge containing i and j contains the cover of join(a_i, a_j)
+    (see the module docstring), so the minimal hyperedges are the minimal
+    join covers. Per axis, below[t] is the bitmask of octants whose apex
+    rank is <= t; the cover of a join is then three table lookups and two
+    ands. Candidates are filtered in order of size against the minimal
+    edges accepted so far.
+    """
+    ranks, below = [], []
+    for d in range(3):
+        values = sorted({o.apex[d] for o in octants})
+        rank_of = {v: t for t, v in enumerate(values)}
+        axis_ranks = [rank_of[o.apex[d]] for o in octants]
+        masks = [0] * len(values)
+        for i, t in enumerate(axis_ranks):
+            masks[t] |= 1 << i
+        for t in range(1, len(masks)):
+            masks[t] |= masks[t - 1]
+        ranks.append(axis_ranks)
+        below.append(masks)
+    (rx, ry, rz), (bx, by, bz) = ranks, below
+    m = len(octants)
+    covers = {
+        bx[max(rx[i], rx[j])] & by[max(ry[i], ry[j])] & bz[max(rz[i], rz[j])]
+        for i in range(m)
+        for j in range(i + 1, m)
+    }
+    minimal: List[int] = []
+    for cover in sorted(covers, key=int.bit_count):
+        if not any(e & cover == e for e in minimal):
+            minimal.append(cover)
+    edges = [frozenset(i for i in range(m) if e >> i & 1) for e in minimal]
+    return sorted(edges, key=lambda e: (len(e), sorted(e)))
 
 
 # ---------------------------------------------------------------------------
@@ -222,10 +279,12 @@ def color_triangles(
 ) -> Coloring:
     """Coloring with <= 4 colors proper on the triangle hypergraph.
 
-    extra_edges adds hyperedges (index sets) the coloring must also keep
-    non-monochromatic; the octant pipeline passes the off-plane cells here.
-    Exhausted search raises NoFourColoringError carrying the triangles: that
-    would be a reportable counterexample, not an instance to mis-color.
+    The triangle view only: color_octants does not call this, since a
+    coloring proper on the triangles can leave an off-plane octant cell
+    monochromatic. extra_edges adds hyperedges (index sets) the coloring
+    must also keep non-monochromatic. Exhausted search raises
+    NoFourColoringError carrying the triangles: that would be a reportable
+    counterexample, not an instance to mis-color.
     """
     triangles = list(triangles)
     if len(triangles) > size_cap:
@@ -253,21 +312,21 @@ def color_octants(instance: Instance, size_cap: int = DEFAULT_SIZE_CAP) -> Color
 
     dag = compute_domination(instance.objects)
     kept = [instance.objects[i] for i in dag.nondominated]
-    c_max = compute_cmax(kept)
-    triangles = project(kept, c_max)
-
-    sub = Instance(
-        ObjectClass.OCTANTS,
-        tuple(kept),
-        tuple(instance.weights[i] for i in dag.nondominated),
-        (),
-    )
-    cell_edges = oracle.enumerate_hyperedges(sub, size_cap=size_cap).edge_set
-    sub_coloring = color_triangles(triangles, extra_edges=cell_edges)
+    # The search is exponential: it stays capped at the default whatever
+    # size_cap allows.
+    if len(kept) > DEFAULT_SIZE_CAP:
+        raise SizeCapError(
+            f"{len(kept)} nondominated octants exceed cap {DEFAULT_SIZE_CAP}"
+        )
+    sub_colors = _search_coloring(len(kept), join_cover_edges(kept), max_colors=4)
+    if sub_colors is None:
+        raise NoFourColoringError(
+            "no proper 4-coloring found by exhaustive search", objects=kept
+        )
 
     colors = [0] * instance.m
     for local, original in enumerate(dag.nondominated):
-        colors[original] = sub_coloring.colors[local]
+        colors[original] = sub_colors[local]
     for dominated, dominator in sorted(dag.dominator_of.items()):
         colors[dominated] = next(
             c for c in range(1, 5) if c != colors[dominator]

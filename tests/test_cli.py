@@ -256,3 +256,59 @@ def test_render_rejects_wrong_coloring_length(tmp_path, capsys):
     col.write_text('{"kappa": 2, "colors": [1]}')
     code, _, _ = run(capsys, "render", str(inst), "--coloring", str(col))
     assert code == 2
+
+
+def test_color_out_replaces_existing_file(tmp_path, capsys):
+    inst_path, col_path = tmp_path / "pair.json", tmp_path / "col.json"
+    run(capsys, "gen", "--kind", "interval-pair", "--out", str(inst_path))
+    col_path.write_text("stale contents that are longer than the coloring " * 20)
+    code, report, _ = run(capsys, "color", str(inst_path), "--out", str(col_path))
+    assert code == 0
+    assert parse_coloring(col_path.read_text()).colors == tuple(report["result"]["colors"])
+
+
+def test_color_out_leaves_no_temp_file(tmp_path, capsys):
+    inst_path, col_path = tmp_path / "pair.json", tmp_path / "col.json"
+    run(capsys, "gen", "--kind", "interval-pair", "--out", str(inst_path))
+    for _ in range(2):  # once onto a new path, once over the existing file
+        code, _, _ = run(capsys, "color", str(inst_path), "--out", str(col_path))
+        assert code == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["col.json", "pair.json"]
+
+
+def test_failed_out_write_keeps_old_file(tmp_path, capsys, monkeypatch):
+    import geomextract.cli as cli
+
+    inst_path, col_path = tmp_path / "pair.json", tmp_path / "col.json"
+    run(capsys, "gen", "--kind", "interval-pair", "--out", str(inst_path))
+    col_path.write_text("old")
+
+    class FullDisk:
+        def __init__(self, fd, *args, **kwargs):
+            self.fd = fd
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            cli.os.close(self.fd)
+
+        def write(self, data):
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli.os, "fdopen", FullDisk)
+    code = main(["color", str(inst_path), "--out", str(col_path)])
+    monkeypatch.undo()
+    capsys.readouterr()
+    assert code == 2
+    assert col_path.read_text() == "old"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["col.json", "pair.json"]
+
+
+def test_unwritable_out_exit_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "dir" / "x.json"
+    code = main(["gen", "--kind", "interval-pair", "--out", str(target)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "cannot write" in err
+    assert not target.parent.exists()

@@ -2,9 +2,10 @@ import itertools
 import random
 from fractions import Fraction as F
 
+import pytest
 
 from geomextract import ObjectClass, check_proper, color_intervals, gen_random, make_instance
-from geomextract.core import Interval
+from geomextract.core import AlgorithmInvariantError, Interval
 from geomextract.intervals import build_key_chain, connected_components, two_color
 
 
@@ -133,3 +134,10 @@ def test_duplicate_intervals_stay_proper():
         ObjectClass.INTERVALS, [Interval(a, b) for a, b in pairs]
     )
     assert check_proper(inst, color_intervals(inst)).proper
+
+
+def test_key_chain_invariant_survives_without_asserts():
+    # A "component" that is not connected cannot be spanned by one chain.
+    with pytest.raises(AlgorithmInvariantError) as info:
+        build_key_chain([(F(0), F(1)), (F(5), F(6))], [0, 1])
+    assert info.value.witness == (0,)

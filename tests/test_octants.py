@@ -17,12 +17,15 @@ from geomextract import (
     make_instance,
     project,
 )
+from geomextract import octants, oracle
 from geomextract.core import (
+    NoFourColoringError,
     Octant,
     PlaneTriangle,
     SizeCapError,
     triangle_contains,
 )
+from geomextract.octants import join_cover_edges
 from geomextract.oracle import enumerate_triangle_hyperedges
 
 
@@ -160,6 +163,14 @@ def test_size_cap_enforced():
         color_octants(inst, size_cap=10)
 
 
+def test_search_cap_holds_under_a_larger_size_cap():
+    # The exponential search stays capped at DEFAULT_SIZE_CAP nondominated
+    # octants even when the caller allows more objects.
+    inst = _perfbench_antichain(octants.DEFAULT_SIZE_CAP + 1)
+    with pytest.raises(SizeCapError):
+        color_octants(inst, size_cap=60)
+
+
 def test_triangle_slices_match_dense_sampling():
     # Dense baseline: quarter-integer lattice over the triangle bounding
     # box; integer triangle parameters make every cell contain such a point.
@@ -198,3 +209,154 @@ def test_improper_coloring_detected_by_final_verification():
     inst = gen_octant4()
     bad = Coloring((1, 1, 1, 1), 4)
     assert not check_proper(inst, bad).proper
+
+
+# ---------------------------------------------------------------------------
+# Join-cover kernel
+# ---------------------------------------------------------------------------
+
+def _messy_octants(rng):
+    """Random apexes with duplicates, nested apexes and half-integers.
+    Some sets draw their fresh apexes on a plane x+y+z = const, so that few
+    of them are dominated: one in ten small sets and half the large ones."""
+    big = rng.random() < 0.04
+    n = rng.randint(30, 40) if big else rng.randint(2, 14)
+    hi, den = rng.choice([2, 3, 5, 8, 20]), rng.choice([1, 1, 2])
+    plane = rng.random() < (0.5 if big else 0.1)
+    octs = []
+    for _ in range(n):
+        r = rng.random()
+        if octs and r < 0.15:
+            octs.append(rng.choice(octs))
+        elif octs and r < 0.3:
+            base = rng.choice(octs).apex
+            octs.append(Octant(tuple(v + F(rng.randint(0, 2), den) for v in base)))
+        elif plane:
+            a, b = (F(rng.randint(0, 3 * hi * den), den) for _ in range(2))
+            octs.append(Octant((a, b, 6 * hi - a - b)))
+        else:
+            octs.append(Octant(tuple(F(rng.randint(0, hi * den), den) for _ in range(3))))
+    return octs
+
+
+def _minimal(edges):
+    return {e for e in edges if not any(f < e for f in edges)}
+
+
+def test_join_covers_match_grid_minimal_edges():
+    rng = random.Random(8)
+    sizes, kept_sizes = [], []
+    for _ in range(520):
+        octs = _messy_octants(rng)
+        dag = compute_domination(octs)
+        kept = [octs[i] for i in dag.nondominated]
+        sub = make_instance(ObjectClass.OCTANTS, kept)
+        got = join_cover_edges(kept)
+        assert got == sorted(got, key=lambda e: (len(e), sorted(e)))
+        assert set(got) == _minimal(enumerate_hyperedges(sub).edge_set), octs
+        sizes.append(len(octs))
+        kept_sizes.append(len(kept))
+    assert max(sizes) == 40 and max(kept_sizes) >= 30
+
+
+def _perfbench_antichain(n, plane=10**6):
+    """The benchmark's octant-antichain shape: fixed axis orders on
+    x+y+z = plane, with jitter drawn from seed 0."""
+    shape = random.Random(f"octant-antichain/shape/{n}/0")
+    while True:
+        xs, ys = shape.sample(range(4 * n), n), shape.sample(range(4 * n), n)
+        if len({x + y for x, y in zip(xs, ys)}) == n:
+            break
+    jitter = random.Random(0)
+    step = plane // (8 * n)
+    a = [x * step + jitter.randrange(step // 4) for x in xs]
+    b = [y * step + jitter.randrange(step // 4) for y in ys]
+    return make_instance(
+        ObjectClass.OCTANTS,
+        [_oct(x, y, plane - x - y) for x, y in zip(a, b)],
+    )
+
+
+def test_join_covers_of_antichain_are_pairs():
+    inst = _perfbench_antichain(20)
+    edges = join_cover_edges(list(inst.objects))
+    assert len(edges) == 47 and all(len(e) == 2 for e in edges)
+
+
+# Colorings of the plane-triangle pipeline that the join-cover kernel
+# replaced, one digit per octant.
+_FROZEN_RANDOM_COLORS = {
+    (4, 0): "1221",
+    (4, 1): "3221",
+    (4, 2): "2111",
+    (4, 3): "3211",
+    (4, 4): "2212",
+    (12, 0): "311213211111",
+    (12, 1): "111112321122",
+    (12, 2): "311111211111",
+    (12, 3): "123222112122",
+    (12, 4): "112111111111",
+    (20, 0): "11111131112223121111",
+    (20, 1): "41111321321112111111",
+    (20, 2): "31111121111111111111",
+    (20, 3): "23311122221111111212",
+    (20, 4): "11312112111111111111",
+    (30, 0): "211211312112132122112111111211",
+    (30, 1): "411113213211121111111112111121",
+    (30, 2): "312111211121111111111111111121",
+    (30, 3): "112111111211311111111111111321",
+    (30, 4): "113121121111111111111111111111",
+    (40, 0): "1111112111113211111111111213211121111112",
+    (40, 1): "4111132132111211111111121111211121111121",
+    (40, 2): "3121112111211111111111111111211122122112",
+    (40, 3): "2132122121221222222211221212222122122222",
+    (40, 4): "1131111211111121111111111111112111111111",
+}
+_FROZEN_ANTICHAIN_COLORS = {
+    20: "33224142131331214411",
+    30: "433423131313112341422233131212",
+    40: "4221414324332122434113311222334211131132",
+}
+
+
+def test_colorings_frozen_random():
+    for (n, seed), want in _FROZEN_RANDOM_COLORS.items():
+        col = color_octants(gen_random(ObjectClass.OCTANTS, n, seed))
+        assert "".join(map(str, col.colors)) == want, (n, seed)
+
+
+def test_colorings_frozen_antichains():
+    for n, want in _FROZEN_ANTICHAIN_COLORS.items():
+        col = color_octants(_perfbench_antichain(n))
+        assert "".join(map(str, col.colors)) == want, n
+
+
+def test_color_octants_enumerates_the_grid_once(monkeypatch):
+    calls = []
+    enumerate_grid = oracle.enumerate_hyperedges
+
+    def counting(instance, size_cap=oracle.DEFAULT_SIZE_CAP):
+        calls.append(instance.m)
+        return enumerate_grid(instance, size_cap)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("triangle view called on the coloring path")
+
+    monkeypatch.setattr(oracle, "enumerate_hyperedges", counting)
+    monkeypatch.setattr(oracle, "enumerate_triangle_hyperedges", forbidden)
+    monkeypatch.setattr(octants, "project", forbidden)
+    monkeypatch.setattr(octants, "color_triangles", forbidden)
+    inst = make_instance(ObjectClass.OCTANTS, [_oct(0, 0, 0), _oct(1, 1, 1)]
+                         + list(gen_octant4().objects))
+    color_octants(inst)
+    assert calls == [inst.m]
+
+
+def test_exhausted_search_reports_kept_octants(monkeypatch):
+    inst = make_instance(ObjectClass.OCTANTS, [_oct(0, 0, 0), _oct(1, 1, 1)]
+                         + list(gen_octant4().objects))
+    monkeypatch.setattr(octants, "_search_coloring", lambda n, edges, max_colors: None)
+    with pytest.raises(NoFourColoringError) as info:
+        color_octants(inst)
+    kept = compute_domination(inst.objects).nondominated
+    assert info.value.objects == [inst.objects[i] for i in kept]
