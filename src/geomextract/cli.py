@@ -3,10 +3,11 @@
 Subcommands: gen, color, extract, verify, bounds, render. Each invocation
 handles one instance and prints a JSON report to stdout; --out writes the
 payload document (instance, coloring, or SVG) only after it was fully
-computed, to a fresh temporary file in the target's directory that then
-replaces the target, so failures leave no partial output and an existing
-target stays as it was when the write fails. An --out path that cannot be
-written exits 2, like an input that cannot be read.
+computed, so a failed command leaves no partial output. A new path or an
+existing regular file gets a fresh file, written beside it and renamed
+onto it, and a failed write leaves the old file as it was; symlinks,
+devices and FIFOs are written through in place (see _write_out). An --out
+path that cannot be written exits 2, like an input that cannot be read.
 
 Exit codes: 0 success, 2 parse or class errors, 3 size caps, 4 algorithm
 invariant violations (including an improper supplied coloring), 5 depth
@@ -16,8 +17,10 @@ precondition violations.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
+import stat
 import sys
 import time
 from typing import Optional
@@ -75,14 +78,38 @@ def _read_coloring(path: str) -> Coloring:
 
 
 def _write_out(path: str, text: str) -> None:
-    """Write text to a fresh file next to path, then move it onto path.
+    """Write text to path; failures raise ParseError ("cannot write ...").
 
-    The old file is unlinked before the rename rather than truncated or
-    renamed over: either of those makes some filesystems (ext4 with
-    auto_da_alloc) flush the new data, tens of milliseconds per write. A
-    failed write removes the temporary file and leaves the old one as it
-    was. Crash durability is not promised.
+    A new path, or a regular file with one link that this process owns, gets
+    a fresh file: text goes to a temporary file beside it, the old file is
+    unlinked, and the temporary file (with the old file's permission bits)
+    is renamed onto the path. Truncating the old file or renaming over it
+    instead makes some filesystems (ext4 with auto_da_alloc) flush the new
+    data, tens of milliseconds per rewrite. A failed write removes the
+    temporary file and leaves the old one as it was; if the final rename
+    fails, the old file is already gone and the error names the temporary
+    file that holds the output. Anything else (a symlink, a device, a FIFO,
+    a file with other links or another owner) is opened and written in
+    place. Crash durability is not promised.
     """
+    try:
+        old = os.lstat(path)
+    except FileNotFoundError:
+        old = None
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from None
+    if old is not None and not (
+        stat.S_ISREG(old.st_mode)
+        and old.st_nlink == 1
+        and (old.st_uid, old.st_gid) == (os.geteuid(), os.getegid())
+    ):
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParseError(f"cannot write {path}: {exc}") from None
+        return
+
     directory, name = os.path.split(os.path.abspath(path))
     tmp = os.path.join(directory, f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
     try:
@@ -91,17 +118,23 @@ def _write_out(path: str, text: str) -> None:
         raise ParseError(f"cannot write {path}: {exc}") from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            if old is not None:
+                os.fchmod(fd, stat.S_IMODE(old.st_mode))
             fh.write(text)
-        try:
+        if old is not None:
             os.unlink(path)
-        except FileNotFoundError:
-            pass
-        os.rename(tmp, path)
     except BaseException as exc:
-        os.unlink(tmp)
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
         if isinstance(exc, OSError):
             raise ParseError(f"cannot write {path}: {exc}") from None
         raise
+    try:
+        os.rename(tmp, path)
+    except OSError as exc:
+        raise ParseError(
+            f"cannot write {path}: {exc}; the output is in {tmp}"
+        ) from None
 
 
 def _report(command: str, instance: Optional[Instance], result: dict,

@@ -1,4 +1,7 @@
 import json
+import os
+import stat
+import threading
 
 
 from geomextract import gen_kbox, gen_octant4, parse_coloring, parse_instance, render_svg
@@ -312,3 +315,66 @@ def test_unwritable_out_exit_2(tmp_path, capsys):
     assert code == 2
     assert "cannot write" in err
     assert not target.parent.exists()
+
+
+def test_color_out_writes_through_symlink(tmp_path, capsys):
+    inst_path, real, link = tmp_path / "pair.json", tmp_path / "real.json", tmp_path / "col.json"
+    run(capsys, "gen", "--kind", "interval-pair", "--out", str(inst_path))
+    real.write_text("stale")
+    link.symlink_to(real)
+    code, report, _ = run(capsys, "color", str(inst_path), "--out", str(link))
+    assert code == 0
+    assert link.is_symlink()
+    assert parse_coloring(real.read_text()).colors == tuple(report["result"]["colors"])
+
+
+def test_color_out_writes_into_fifo_without_unlinking_it(tmp_path, capsys):
+    inst_path, fifo = tmp_path / "pair.json", tmp_path / "pipe"
+    run(capsys, "gen", "--kind", "interval-pair", "--out", str(inst_path))
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(
+        target=lambda: received.append(fifo.read_text()), daemon=True
+    )
+    reader.start()
+    code, report, _ = run(capsys, "color", str(inst_path), "--out", str(fifo))
+    reader.join(timeout=10)
+    assert code == 0
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert parse_coloring(received[0]).colors == tuple(report["result"]["colors"])
+
+
+def test_color_out_keeps_hard_links_and_mode(tmp_path, capsys):
+    inst_path, col_path, other = (tmp_path / n for n in ("pair.json", "col.json", "other.json"))
+    run(capsys, "gen", "--kind", "interval-pair", "--out", str(inst_path))
+    col_path.write_text("stale")
+    col_path.chmod(0o640)
+    code, report, _ = run(capsys, "color", str(inst_path), "--out", str(col_path))
+    assert code == 0
+    assert stat.S_IMODE(col_path.stat().st_mode) == 0o640  # fresh file, old mode
+    os.link(col_path, other)
+    other.write_text("stale")
+    code, _, _ = run(capsys, "color", str(inst_path), "--out", str(col_path))
+    assert code == 0
+    assert os.path.samefile(col_path, other)  # written in place, link kept
+    assert parse_coloring(other.read_text()).colors == tuple(report["result"]["colors"])
+
+
+def test_failed_rename_names_the_temp_file(tmp_path, capsys, monkeypatch):
+    import geomextract.cli as cli
+
+    inst_path, col_path = tmp_path / "pair.json", tmp_path / "col.json"
+    run(capsys, "gen", "--kind", "interval-pair", "--out", str(inst_path))
+    col_path.write_text("old")
+
+    def failing_rename(src, dst):
+        raise OSError(18, "Invalid cross-device link")
+
+    monkeypatch.setattr(cli.os, "rename", failing_rename)
+    code = main(["color", str(inst_path), "--out", str(col_path)])
+    monkeypatch.undo()
+    err = capsys.readouterr().err
+    (kept,) = [p for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+    assert code == 2
+    assert str(kept) in err
+    assert parse_coloring(kept.read_text()).colors
