@@ -3,7 +3,8 @@
 All coordinates and weights are `fractions.Fraction` values; every predicate
 is an exact rational comparison, so there is no tolerance anywhere. All
 object classes are closed sets (endpoints and apexes included), which makes
-touching objects intersect.
+touching objects intersect. Membership has one test per object class
+(MEMBERSHIP); contains() validates its input, depth() picks the test once.
 """
 
 from __future__ import annotations
@@ -235,6 +236,38 @@ def class_of(obj: GeomObject) -> ObjectClass:
 # Membership
 # ---------------------------------------------------------------------------
 
+def _in_interval(obj: Interval, p: Point) -> bool:
+    return obj.a <= p[0] <= obj.b
+
+
+def _in_segment(obj: Segment, p: Point) -> bool:
+    x, y = p
+    if obj.axis is Axis.HORIZONTAL:
+        return y == obj.line and obj.lo <= x <= obj.hi
+    return x == obj.line and obj.lo <= y <= obj.hi
+
+
+def _in_ray(obj: Ray, p: Point) -> bool:
+    (x, y), (ax, ay), o = p, obj.apex, obj.orientation
+    if o <= 2:  # horizontal: 1 along +x, 2 along -x
+        return y == ay and (x >= ax if o == 1 else x <= ax)
+    return x == ax and (y >= ay if o == 3 else y <= ay)
+
+
+def _in_octant(obj: Octant, p: Point) -> bool:
+    a, b, c = obj.apex
+    return p[0] >= a and p[1] >= b and p[2] >= c
+
+
+# Unchecked: the object must be of the class, the point of its dimension.
+MEMBERSHIP = {
+    ObjectClass.INTERVALS: _in_interval,
+    ObjectClass.SEGMENTS: _in_segment,
+    ObjectClass.RAYS: _in_ray,
+    ObjectClass.OCTANTS: _in_octant,
+}
+
+
 def contains(obj: GeomObject, p: Point) -> bool:
     """Exact closed-set membership of point p in obj."""
     cls = class_of(obj)
@@ -242,25 +275,7 @@ def contains(obj: GeomObject, p: Point) -> bool:
         raise ClassMismatchError(
             f"{cls.value} expect {cls.dimension}D points, got {len(p)}D"
         )
-    if isinstance(obj, Interval):
-        return obj.a <= p[0] <= obj.b
-    if isinstance(obj, Segment):
-        x, y = p
-        if obj.axis is Axis.HORIZONTAL:
-            return y == obj.line and obj.lo <= x <= obj.hi
-        return x == obj.line and obj.lo <= y <= obj.hi
-    if isinstance(obj, Ray):
-        x, y = p
-        ax, ay = obj.apex
-        if obj.orientation == 1:
-            return y == ay and x >= ax
-        if obj.orientation == 2:
-            return y == ay and x <= ax
-        if obj.orientation == 3:
-            return x == ax and y >= ay
-        return x == ax and y <= ay
-    a, b, c = obj.apex
-    return p[0] >= a and p[1] >= b and p[2] >= c
+    return MEMBERSHIP[cls](obj, p)
 
 
 def triangle_contains(t: PlaneTriangle, u: Fraction, v: Fraction) -> bool:
@@ -355,13 +370,17 @@ class Coloring:
 # ---------------------------------------------------------------------------
 
 def depth(instance: Instance, p: Point) -> tuple:
-    """Return (|o(p)|, o(p)): how many and which objects contain p."""
+    """Return (|o(p)|, o(p)): how many and which objects contain p.
+
+    The Instance validated its objects' class; only p's dimension is checked.
+    """
     if len(p) != instance.cls.dimension:
         raise ClassMismatchError(
             f"point {p!r} has wrong dimension for {instance.cls.value}"
         )
+    inside = MEMBERSHIP[instance.cls]
     covering = frozenset(
-        i for i, obj in enumerate(instance.objects) if contains(obj, p)
+        [i for i, obj in enumerate(instance.objects) if inside(obj, p)]
     )
     return len(covering), covering
 

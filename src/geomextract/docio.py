@@ -79,13 +79,21 @@ def _parse_object(raw: Any, cls: ObjectClass):
         raise ParseError(str(exc)) from None
 
 
+def _load(doc: Any) -> Any:
+    """Decode JSON text; an already-loaded document passes through."""
+    if not isinstance(doc, (str, bytes)):
+        return doc
+    try:
+        return json.loads(doc)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
+
+
 def parse_instance(doc: Any) -> Instance:
     """Parse an instance document (JSON text or an already-loaded mapping)."""
-    if isinstance(doc, (str, bytes)):
-        try:
-            doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}") from None
+    doc = _load(doc)
     if not isinstance(doc, dict):
         raise ParseError("instance document must be a JSON object")
     _check_fields(doc, _INSTANCE_FIELDS, "instance document")
@@ -172,11 +180,7 @@ def instance_digest(instance: Instance) -> str:
 # ---------------------------------------------------------------------------
 
 def parse_coloring(doc: Any) -> Coloring:
-    if isinstance(doc, (str, bytes)):
-        try:
-            doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}") from None
+    doc = _load(doc)
     if not isinstance(doc, dict):
         raise ParseError("coloring document must be a JSON object")
     _check_fields(doc, {"kappa", "colors"}, "coloring document")

@@ -46,17 +46,23 @@ class ExtractionResult:
 
 
 def extract(instance: Instance, coloring: Coloring) -> ExtractionResult:
-    """Remove the heaviest color class; verify the rest still covers T."""
+    """Remove the heaviest color class; verify the rest still covers T.
+
+    One core.depth pass gives each point's coverers: they check depth >= 2,
+    and a point is missed by the rest iff all its coverers were extracted.
+    """
     if instance.m == 0:
         raise ValueError("cannot extract from an empty instance")
     if len(coloring.colors) != instance.m:
         raise ValueError("coloring is not total over the instance")
+    coverers = []
     for p in instance.points:
-        n, _ = core.depth(instance, p)
+        n, cov = core.depth(instance, p)
         if n < 2:
             raise DepthPreconditionError(
                 f"target point {p} has depth {n} < 2", point=p
             )
+        coverers.append(cov)
 
     class_weight: Dict[int, Fraction] = {
         c: Fraction(0) for c in range(1, coloring.kappa + 1)
@@ -70,14 +76,14 @@ def extract(instance: Instance, coloring: Coloring) -> ExtractionResult:
     extracted = frozenset(
         i for i, c in enumerate(coloring.colors) if c == best_color
     )
+    for p, cov in zip(instance.points, coverers):
+        if cov <= extracted:
+            raise ImproperColoringError(
+                f"residual objects miss target point {p}; "
+                "the supplied coloring is not proper",
+                witness=p,
+            )
     sol = frozenset(instance.indices()) - extracted
-    verdict = oracle.check_cover(instance, sol)
-    if not verdict.covered:
-        raise ImproperColoringError(
-            f"residual objects miss target point {verdict.point}; "
-            "the supplied coloring is not proper",
-            witness=verdict.point,
-        )
     w_all = total_weight(instance, instance.indices())
     w_extracted = class_weight[best_color]
     if w_extracted * coloring.kappa < w_all:
@@ -299,10 +305,7 @@ def exact_chromatic(
         raise SizeCapError(f"{instance.m} objects exceed cap {size_cap}")
     if instance.m == 0:
         return 1
-    edges = sorted(
-        oracle.enumerate_hyperedges(instance).edge_set,
-        key=lambda e: (len(e), sorted(e)),
-    )
+    edges = oracle.enumerate_hyperedges(instance).sorted_edges()
     if not edges:
         return 1
     for k in range(2, instance.m + 1):

@@ -7,12 +7,11 @@ bad edit here fails loudly instead of producing a silently wrong benchmark.
 
 from __future__ import annotations
 
-import itertools
 import random
 from fractions import Fraction
 from typing import List, Optional
 
-from . import core, extraction, oracle
+from . import core, extraction, octants, oracle
 from .core import (
     AlgorithmInvariantError,
     Axis,
@@ -20,13 +19,21 @@ from .core import (
     Interval,
     ObjectClass,
     Octant,
-    PlaneTriangle,
     Ray,
     Segment,
     make_instance,
 )
 
 RANDOM_SCHEME = "python-mt19937"
+
+
+def _require_depth_two(instance: Instance, what: str) -> Instance:
+    """Return instance, or raise unless each target point has depth exactly 2."""
+    for p in instance.points:
+        n, _ = core.depth(instance, p)
+        if n != 2:
+            raise AlgorithmInvariantError(f"{what} {p} has depth {n}", witness=p)
+    return instance
 
 
 def gen_interval_pair() -> Instance:
@@ -37,13 +44,8 @@ def gen_interval_pair() -> Instance:
         points=[(Fraction(3, 2),)],
         meta={"generator": "interval-pair"},
     )
-    n, cov = core.depth(instance, instance.points[0])
-    if n != 2 or cov != frozenset({0, 1}):
-        raise AlgorithmInvariantError(
-            f"interval pair point has cover {sorted(cov)}",
-            witness=instance.points[0],
-        )
-    return instance
+    # Depth 2 among two intervals: both contain the point.
+    return _require_depth_two(instance, "interval pair point")
 
 
 # ---------------------------------------------------------------------------
@@ -114,13 +116,7 @@ def gen_kbox(k: int) -> Instance:
         raise AlgorithmInvariantError(
             f"k-box has {instance.m} segments, not {4 * k * k}", witness=k
         )
-    for p in instance.points:
-        n, _ = core.depth(instance, p)
-        if n != 2:
-            raise AlgorithmInvariantError(
-                f"k-box cross {p} has depth {n}", witness=p
-            )
-    return instance
+    return _require_depth_two(instance, "k-box cross")
 
 
 def gen_kbox_rays(k: int) -> Instance:
@@ -154,13 +150,7 @@ def gen_kbox_rays(k: int) -> Instance:
         ObjectClass.RAYS, rays, points=seg_instance.points,
         meta={"generator": "kbox-rays", "k": k},
     )
-    for p in instance.points:
-        n, _ = core.depth(instance, p)
-        if n != 2:
-            raise AlgorithmInvariantError(
-                f"k-box ray cross {p} has depth {n}", witness=p
-            )
-    return instance
+    return _require_depth_two(instance, "k-box ray cross")
 
 
 # ---------------------------------------------------------------------------
@@ -205,13 +195,7 @@ def gen_rayfan(k: int) -> Instance:
             raise AlgorithmInvariantError(
                 "right ray misses its up-rays", witness=right
             )
-    for p in instance.points:
-        n, _ = core.depth(instance, p)
-        if n != 2:
-            raise AlgorithmInvariantError(
-                f"ray fan point {p} has depth {n}", witness=p
-            )
-    return instance
+    return _require_depth_two(instance, "ray fan point")
 
 
 # ---------------------------------------------------------------------------
@@ -266,42 +250,27 @@ def search_octant4(
 ) -> Optional[Instance]:
     """Rediscover a valid four-octant configuration by random search.
 
-    Draws integer apexes, keeps antichains whose projected triangles realize
-    all six pair cells, and returns the instance (or None). Exists so the
-    frozen constants above can be regenerated and cross-checked.
+    Draws integer apexes, keeps the first antichain whose minimal hyperedges
+    are the six pairs, and returns it (or None) with the six pairwise joins
+    (coordinatewise maxima), each covered by exactly its pair, as targets.
+    Exists so the frozen constants above can be regenerated and cross-checked.
     """
     rng = random.Random(seed)
     for _ in range(tries):
-        apexes = [tuple(rng.randint(0, coord_range) for _ in range(3))
+        apexes = [tuple(Fraction(rng.randint(0, coord_range)) for _ in range(3))
                   for _ in range(4)]
-        if any(
-            i != j
-            and all(a <= b for a, b in zip(apexes[i], apexes[j]))
-            and (apexes[i] != apexes[j] or i < j)
-            for i in range(4)
-            for j in range(4)
-        ):
+        octs = [Octant(apex) for apex in apexes]
+        if len(octants.compute_domination(octs).nondominated) < 4:
             continue
-        c_max = max(
-            max(p[0], q[0]) + max(p[1], q[1]) + max(p[2], q[2])
-            for p, q in itertools.combinations(apexes, 2)
-        )
-        triangles = [
-            PlaneTriangle(Fraction(a), Fraction(b), Fraction(c_max - c))
-            for a, b, c in apexes
+        edges = octants.join_cover_edges(octs)
+        if len(edges) != 6 or any(len(e) != 2 for e in edges):
+            continue
+        points = [
+            tuple(max(a, b) for a, b in zip(apexes[i], apexes[j]))
+            for i, j in (sorted(e) for e in edges)
         ]
-        edges = oracle.enumerate_triangle_hyperedges(triangles)
-        pairs = {e: w for e, w in edges.edges.items() if len(e) == 2}
-        if len(pairs) != 6:
-            continue
-        points = []
-        for e in sorted(pairs, key=sorted):
-            u, v = pairs[e]
-            points.append((u, v, c_max - u - v))
         return make_instance(
-            ObjectClass.OCTANTS,
-            [Octant(tuple(Fraction(v) for v in apex)) for apex in apexes],
-            points=points,
+            ObjectClass.OCTANTS, octs, points=points,
             meta={"generator": "octant4-search", "seed": seed},
         )
     return None

@@ -29,6 +29,7 @@ improper in 3D.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence
@@ -57,34 +58,54 @@ class DominationDAG:
     dominator_of: dict  # dominated index -> nondominated dominator index
 
 
-def _dominates(oi: Octant, oj: Octant, i: int, j: int) -> bool:
-    """O_i contains O_j; duplicate apexes resolve to the lower index."""
-    ai, bi, ci = oi.apex
-    aj, bj, cj = oj.apex
-    if not (ai <= aj and bi <= bj and ci <= cj):
-        return False
-    return oi.apex != oj.apex or i < j
+def _rank_table(octants: Sequence[Octant]) -> tuple:
+    """ranks[d][i]: rank of a_i on axis d; below[d][t]: mask of ranks <= t.
+
+    The octants containing a point of ranks (tx, ty, tz) are then
+    below[0][tx] & below[1][ty] & below[2][tz].
+    """
+    ranks, below = [], []
+    for d in range(3):
+        values = sorted({o.apex[d] for o in octants})
+        rank_of = {v: t for t, v in enumerate(values)}
+        axis_ranks = [rank_of[o.apex[d]] for o in octants]
+        masks = [0] * len(values)
+        for i, t in enumerate(axis_ranks):
+            masks[t] |= 1 << i
+        for t in range(1, len(masks)):
+            masks[t] |= masks[t - 1]
+        ranks.append(axis_ranks)
+        below.append(masks)
+    return ranks, below
 
 
 def compute_domination(octants: Sequence[Octant]) -> DominationDAG:
-    """Quadratic pairwise comparison; dominator_of picks the lowest index."""
+    """O_i dominates O_j when it contains O_j; equal apexes go to the lower index.
+
+    The cover of apex j holds every i with a_i <= a_j, so j is nondominated
+    iff it holds only j's twins (equal apexes) and none of lower index. Any
+    nondominated octant in a dominated one's cover dominates it;
+    dominator_of picks the lowest.
+    """
     if not octants:
         raise ValueError("no octants")
+    (rx, ry, rz), (bx, by, bz) = _rank_table(octants)
     n = len(octants)
-    nondominated = [
+    covers = [bx[rx[j]] & by[ry[j]] & bz[rz[j]] for j in range(n)]
+    twins = Counter(zip(rx, ry, rz))
+    nondominated = tuple(
         j
         for j in range(n)
-        if not any(_dominates(octants[i], octants[j], i, j) for i in range(n) if i != j)
-    ]
-    nd_set = set(nondominated)
+        if covers[j] & ((1 << j) - 1) == 0
+        and covers[j].bit_count() == twins[rx[j], ry[j], rz[j]]
+    )
+    kept = sum(1 << j for j in nondominated)
     dominator_of: Dict[int, int] = {}
     for j in range(n):
-        if j in nd_set:
-            continue
-        dominator_of[j] = min(
-            i for i in nondominated if _dominates(octants[i], octants[j], i, j)
-        )
-    return DominationDAG(tuple(nondominated), dominator_of)
+        if not kept >> j & 1:
+            low = covers[j] & kept
+            dominator_of[j] = (low & -low).bit_length() - 1
+    return DominationDAG(nondominated, dominator_of)
 
 
 def compute_cmax(octants: Sequence[Octant]) -> Fraction:
@@ -152,25 +173,12 @@ def join_cover_edges(octants: Sequence[Octant]) -> List[frozenset]:
 
     Each hyperedge containing i and j contains the cover of join(a_i, a_j)
     (see the module docstring), so the minimal hyperedges are the minimal
-    join covers. Per axis, below[t] is the bitmask of octants whose apex
-    rank is <= t; the cover of a join is then three table lookups and two
-    ands. Candidates are filtered in order of size against the minimal
+    join covers. On the rank table the cover of a join is three lookups and
+    two ands. Candidates are filtered in order of size against the minimal
     edges accepted so far; on the benchmark antichains that is cheaper than
     converting and sorting every cover, and the search checks fewer edges.
     """
-    ranks, below = [], []
-    for d in range(3):
-        values = sorted({o.apex[d] for o in octants})
-        rank_of = {v: t for t, v in enumerate(values)}
-        axis_ranks = [rank_of[o.apex[d]] for o in octants]
-        masks = [0] * len(values)
-        for i, t in enumerate(axis_ranks):
-            masks[t] |= 1 << i
-        for t in range(1, len(masks)):
-            masks[t] |= masks[t - 1]
-        ranks.append(axis_ranks)
-        below.append(masks)
-    (rx, ry, rz), (bx, by, bz) = ranks, below
+    (rx, ry, rz), (bx, by, bz) = _rank_table(octants)
     m = len(octants)
     covers = {
         bx[max(rx[i], rx[j])] & by[max(ry[i], ry[j])] & bz[max(rz[i], rz[j])]
@@ -274,27 +282,22 @@ def _search_coloring(
 
 
 def color_triangles(
-    triangles: Sequence[PlaneTriangle],
-    extra_edges: Iterable[frozenset] = (),
-    size_cap: int = DEFAULT_SIZE_CAP,
+    triangles: Sequence[PlaneTriangle], size_cap: int = DEFAULT_SIZE_CAP
 ) -> Coloring:
     """Coloring with <= 4 colors proper on the triangle hypergraph.
 
     The triangle view only: color_octants does not call this, since a
     coloring proper on the triangles can leave an off-plane octant cell
-    monochromatic. extra_edges adds hyperedges (index sets) the coloring
-    must also keep non-monochromatic; no caller in the package passes it
-    any more. Exhausted search raises
-    NoFourColoringError carrying the triangles: that would be a reportable
-    counterexample, not an instance to mis-color.
+    monochromatic. Exhausted search raises NoFourColoringError carrying the
+    triangles: that would be a reportable counterexample, not an instance
+    to mis-color.
     """
     triangles = list(triangles)
     if len(triangles) > size_cap:
         raise SizeCapError(f"{len(triangles)} triangles exceed cap {size_cap}")
     if not triangles:
         return Coloring((), 4)
-    tri_edges = oracle.enumerate_triangle_hyperedges(triangles).edge_set
-    edges = sorted(tri_edges | set(extra_edges), key=lambda e: (len(e), sorted(e)))
+    edges = oracle.enumerate_triangle_hyperedges(triangles).sorted_edges()
     colors = _search_coloring(len(triangles), edges, max_colors=4)
     if colors is None:
         raise NoFourColoringError(

@@ -20,6 +20,7 @@ enumerated separately, by horizontal slices.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -301,13 +302,7 @@ def enumerate_hyperedges_dense(
             raise SizeCapError(f"dense sampling would need > {max_points} points")
 
     edges: dict = {}
-    if instance.cls.dimension == 1:
-        grid = [(x,) for x in axes[0]]
-    elif instance.cls.dimension == 2:
-        grid = [(x, y) for x in axes[0] for y in axes[1]]
-    else:
-        grid = [(x, y, z) for x in axes[0] for y in axes[1] for z in axes[2]]
-    for p in grid:
+    for p in itertools.product(*axes):
         n, cov = core.depth(instance, p)
         if n >= 2 and cov not in edges:
             edges[cov] = p
@@ -332,13 +327,17 @@ def check_proper(
 
 
 def check_cover(instance: Instance, subset: Iterable[int]) -> CoverVerdict:
-    """True iff every point of T lies in some object of the subset."""
+    """True iff every point of T lies in some object of the subset.
+
+    Reports the first uncovered point in T order; T was validated already.
+    """
     chosen = sorted(set(subset))
     for i in chosen:
         if not 0 <= i < instance.m:
             raise IndexError(f"unknown object index {i}")
+    inside = core.MEMBERSHIP[instance.cls]
     objs = [instance.objects[i] for i in chosen]
     for k, p in enumerate(instance.points):
-        if not any(core.contains(o, p) for o in objs):
+        if not any(inside(o, p) for o in objs):
             return CoverVerdict(False, p, k)
     return CoverVerdict(True)

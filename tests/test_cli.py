@@ -107,6 +107,30 @@ def test_parse_error_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_deeply_nested_documents_exit_2(tmp_path, capsys):
+    deep = "[" * 5000 + "]" * 5000
+    inst = tmp_path / "deep.json"
+    inst.write_text('{"class": "intervals", "objects": [], "meta": ' + deep + "}")
+    code, _, _ = run(capsys, "color", str(inst))
+    assert code == 2
+    ok = tmp_path / "ok.json"
+    ok.write_text(instance_to_json(gen_octant4()))
+    col = tmp_path / "col.json"
+    col.write_text(deep)
+    code, _, _ = run(capsys, "extract", str(ok), "--coloring", str(col))
+    assert code == 2
+
+
+def test_5000_digit_weight_exits_2(tmp_path, capsys):
+    digits = "1" * 5000
+    for weight in (digits, f'"{digits}"'):  # a JSON integer and a "p/q" string
+        p = tmp_path / "big.json"
+        p.write_text('{"class": "intervals", "objects": [{"a": 0, "b": 1}], '
+                     f'"weights": [{weight}]}}')
+        code, _, _ = run(capsys, "bounds", str(p))
+        assert code == 2
+
+
 def test_size_cap_exit_3(tmp_path, capsys):
     p = tmp_path / "kbox3.json"
     run(capsys, "gen", "--kind", "kbox", "--k", "3", "--out", str(p))

@@ -30,6 +30,14 @@ GOOD_DOC = {
 }
 
 
+def test_deeply_nested_json_is_a_parse_error():
+    deep = "[" * 5000 + "]" * 5000
+    with pytest.raises(ParseError):
+        parse_instance('{"class": "intervals", "objects": [], "meta": ' + deep + "}")
+    with pytest.raises(ParseError):
+        parse_coloring(deep)
+
+
 def test_parse_instance_basic():
     inst = parse_instance(json.dumps(GOOD_DOC))
     assert inst.cls is ObjectClass.SEGMENTS

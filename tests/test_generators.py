@@ -128,13 +128,34 @@ def test_octant4_structure():
     assert exact_extraction_number(inst) == F(4)
 
 
+# Apexes search_octant4 finds for seeds 0-4: the same ones the plane-triangle
+# search it replaced found.
+OCTANT4_SEARCH_APEXES = {
+    0: ((3, 4, 2), (0, 1, 3), (0, 5, 1), (5, 1, 1)),
+    1: ((2, 3, 4), (1, 0, 5), (5, 1, 2), (0, 5, 3)),
+    2: ((2, 1, 0), (0, 5, 0), (1, 4, 1), (0, 2, 4)),
+    3: ((5, 1, 2), (1, 0, 5), (1, 4, 0), (3, 2, 3)),
+    4: ((4, 1, 0), (0, 0, 2), (0, 5, 0), (2, 3, 1)),
+}
+
+
 def test_octant4_search_rediscovers_configurations():
-    inst = search_octant4(seed=1)
-    assert inst is not None
-    assert inst.m == 4 and len(inst.points) == 6
-    pairs = {depth(inst, p)[1] for p in inst.points}
-    assert len(pairs) == 6
-    assert exact_extraction_number(inst) == F(4)
+    for seed, apexes in OCTANT4_SEARCH_APEXES.items():
+        inst = search_octant4(seed=seed)
+        assert inst is not None
+        assert [o.apex for o in inst.objects] == [
+            tuple(F(v) for v in apex) for apex in apexes
+        ], seed
+        assert inst.m == 4 and len(inst.points) == 6
+        pairs = set()
+        for p in inst.points:
+            n, cov = depth(inst, p)
+            assert n == 2
+            # each target point is the join (coordinatewise max) of its pair
+            assert p == tuple(max(inst.objects[i].apex[d] for i in cov) for d in range(3))
+            pairs.add(cov)
+        assert len(pairs) == 6
+        assert exact_extraction_number(inst) == F(4), seed
 
 
 def test_random_determinism():

@@ -57,6 +57,37 @@ def test_domination_transitive_chain_resolves_to_minimal():
     assert dag.dominator_of == {0: 2, 1: 2}
 
 
+def _domination_by_pairs(octs):
+    """Pairwise reference: i dominates j iff a_i <= a_j, ties to the lower index."""
+    def dominates(i, j):
+        below = all(u <= v for u, v in zip(octs[i].apex, octs[j].apex))
+        return i != j and below and (octs[i].apex != octs[j].apex or i < j)
+
+    n = len(octs)
+    kept = tuple(j for j in range(n) if not any(dominates(i, j) for i in range(n)))
+    return kept, {
+        j: min(i for i in kept if dominates(i, j)) for j in range(n) if j not in kept
+    }
+
+
+def test_domination_matches_pairwise_reference():
+    rng = random.Random(9)
+    for _ in range(1500):
+        pool = [F(rng.randint(0, 6), rng.choice([1, 2])) for _ in range(4)]
+        octs = []
+        for _ in range(rng.randint(1, 14)):
+            r = rng.random()
+            if octs and r < 0.2:  # duplicate apex
+                octs.append(rng.choice(octs))
+            elif octs and r < 0.4:  # nested inside an earlier octant
+                base = rng.choice(octs).apex
+                octs.append(Octant(tuple(v + rng.choice([0, F(1, 2), 1]) for v in base)))
+            else:
+                octs.append(Octant(tuple(rng.choice(pool) for _ in range(3))))
+        dag = compute_domination(octs)
+        assert (dag.nondominated, dag.dominator_of) == _domination_by_pairs(octs), octs
+
+
 def test_cmax_pair():
     assert compute_cmax([_oct(0, 1, 0), _oct(1, 0, 0)]) == F(2)
 
@@ -108,14 +139,6 @@ def test_color_octant4_triangles_need_all_four_colors():
     tris = project(kept, compute_cmax(kept))
     col = color_triangles(tris)
     assert sorted(col.colors) == [1, 2, 3, 4]
-
-
-def test_color_triangles_respects_extra_edges():
-    tris = [PlaneTriangle(F(0), F(0), F(10)), PlaneTriangle(F(1), F(1), F(9))]
-    base = color_triangles(tris)
-    assert len(set(base.colors)) == 2
-    col = color_triangles(tris, extra_edges=[frozenset({0, 1})])
-    assert col.colors[0] != col.colors[1]
 
 
 def test_dominated_octant_gets_other_color():

@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geomextract import (
     Coloring,
@@ -112,6 +113,37 @@ def test_grid_matches_dense_on_fractional_coordinates():
         grid = enumerate_hyperedges(inst)
         assert len(grid) >= 2, inst.cls
         assert grid.edge_set == enumerate_hyperedges_dense(inst).edge_set, inst.cls
+
+
+# Half-integer coordinates on a short range, so apexes share lines and
+# extreme events often: several rays open toward -x or -y on one line give
+# cells that exist only past the lowest event, and octants give cells that
+# exist only past the highest.
+_halves = st.integers(0, 6).map(lambda k: F(k, 2))
+_rays = st.lists(
+    st.builds(Ray, st.integers(1, 4), st.tuples(_halves, _halves)),
+    min_size=2, max_size=6,
+)
+_octants = st.lists(
+    st.builds(Octant, st.tuples(_halves, _halves, _halves)), min_size=2, max_size=5
+)
+
+
+def _assert_grid_matches_dense(cls, objects):
+    inst = make_instance(cls, objects)
+    assert enumerate_hyperedges(inst).edge_set == enumerate_hyperedges_dense(inst).edge_set
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_rays)
+def test_grid_matches_dense_on_random_fractional_rays(rays):
+    _assert_grid_matches_dense(ObjectClass.RAYS, rays)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(_octants)
+def test_grid_matches_dense_on_random_fractional_octants(octs):
+    _assert_grid_matches_dense(ObjectClass.OCTANTS, octs)
 
 
 def test_size_cap():
