@@ -3,7 +3,8 @@
 Segments: collinear segments on one line are a 1D interval family, so each
 line group is 2-colored by the interval colorer; horizontal groups use the
 palette {1, 2} and vertical groups {3, 4}, and crossing hyperedges are then
-bichromatic for free.
+bichromatic for free. So checking each line group's 2-coloring with the
+interval sweep verifies the whole segment coloring before it is returned.
 
 Rays: dispatch on the number of distinct orientations present. One or two
 orientations are handled by dominating rays (the extremal ray on a line
@@ -21,6 +22,7 @@ from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from .core import (
+    AlgorithmInvariantError,
     Axis,
     ClassMismatchError,
     Coloring,
@@ -29,7 +31,7 @@ from .core import (
     Ray,
     Segment,
 )
-from .intervals import two_color
+from .intervals import find_monochromatic, two_color
 
 
 @dataclass(frozen=True)
@@ -66,13 +68,27 @@ def line_groups(segments: Sequence[Segment]) -> List[LineGroup]:
 
 
 def color_segments(instance: Instance) -> Coloring:
-    """Proper 4-coloring of an axis-parallel segment instance."""
+    """Proper 4-coloring of an axis-parallel segment instance.
+
+    Each line group's 2-coloring is verified by the interval sweep before
+    the coloring is returned; a monochromatic point raises
+    AlgorithmInvariantError carrying the point and its covering set.
+    """
     if instance.cls is not ObjectClass.SEGMENTS:
         raise ClassMismatchError(f"expected segments, got {instance.cls.value}")
     colors = [0] * instance.m
     for group in line_groups(instance.objects):
         pairs = [(instance.objects[i].lo, instance.objects[i].hi) for i in group.members]
         sub = two_color(pairs)
+        bad = find_monochromatic(pairs, sub)
+        if bad is not None:
+            x, local = bad
+            point = (x, group.line) if group.axis is Axis.HORIZONTAL else (group.line, x)
+            raise AlgorithmInvariantError(
+                "segment coloring is not proper: "
+                f"point ({point[0]}, {point[1]}) is monochromatic",
+                witness=(point, tuple(group.members[j] for j in local)),
+            )
         offset = 0 if group.axis is Axis.HORIZONTAL else 2
         for i, c in zip(group.members, sub):
             colors[i] = c + offset

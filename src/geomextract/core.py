@@ -107,7 +107,10 @@ def parse_rational(value: Union[int, str, Fraction]) -> Fraction:
     if isinstance(value, str):
         if not _RATIONAL_RE.match(value.strip()):
             raise ParseError(f"not a rational: {value!r}")
-        return Fraction(value.strip())
+        try:
+            return Fraction(value.strip())
+        except ValueError as exc:  # over the int conversion digit limit
+            raise ParseError(f"not a rational: {exc}") from None
     raise ParseError(f"not a rational: {value!r}")
 
 
@@ -350,9 +353,6 @@ class Coloring:
         for c in self.colors:
             if not 1 <= c <= self.kappa:
                 raise ValueError(f"color {c} outside 1..{self.kappa}")
-
-    def color_of(self, index: int) -> int:
-        return self.colors[index]
 
     def color_classes(self) -> dict:
         """Map color -> sorted list of indices with that color."""

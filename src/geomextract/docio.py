@@ -85,7 +85,7 @@ def _load(doc: Any) -> Any:
         return doc
     try:
         return json.loads(doc)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or an integer over the digit limit
         raise ParseError(f"invalid JSON: {exc}") from None
     except RecursionError:
         raise ParseError("invalid JSON: nested too deeply") from None

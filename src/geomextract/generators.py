@@ -294,7 +294,8 @@ def gen_random(cls: ObjectClass, n: int, seed: int) -> Instance:
     The small range makes coordinate collisions (shared lines, touching
     endpoints) common on purpose. Target points are one oracle witness per
     hyperedge of size >= 2, so the extraction precondition holds by
-    construction. Weights are random positive rationals.
+    construction (the oracle re-checks each witness with core.depth).
+    Weights are random positive rationals.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -325,7 +326,7 @@ def gen_random(cls: ObjectClass, n: int, seed: int) -> Instance:
     probe = make_instance(cls, objects, weights)
     edges = oracle.enumerate_hyperedges(probe)
     points = [edges.edges[e] for e in edges.sorted_edges()]
-    instance = make_instance(
+    return make_instance(
         cls, objects, weights, points,
         meta={
             "generator": "random",
@@ -335,10 +336,3 @@ def gen_random(cls: ObjectClass, n: int, seed: int) -> Instance:
             "n": n,
         },
     )
-    for p in instance.points:
-        n_cov, _ = core.depth(instance, p)
-        if n_cov < 2:
-            raise AlgorithmInvariantError(
-                f"random target point has depth {n_cov}", witness=p
-            )
-    return instance

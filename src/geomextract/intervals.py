@@ -7,13 +7,22 @@ last. Keys are colored along the chain; every non-key interval falls into
 exactly one of three containment cases relative to the keys, which fixes its
 color. The case analysis is checked, never assumed: an interval matching no
 case raises AlgorithmInvariantError instead of being colored silently.
+
+Cost per component of n intervals: O(n log n). The chain is one sort plus
+a heap walk, and each non-key finds its containment case by bisection over
+the chain. The finished coloring is checked by an endpoint sweep
+(find_monochromatic, also O(n log n)) before color_intervals returns it.
+Both replace the endpoints by their integer ranks first: ranks keep every
+comparison between endpoints, and compare far faster than Fractions.
 """
 
 from __future__ import annotations
 
+import heapq
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .core import (
     AlgorithmInvariantError,
@@ -23,7 +32,7 @@ from .core import (
     ObjectClass,
 )
 
-Pair = Tuple[Fraction, Fraction]
+Pair = Tuple[Fraction, Fraction]  # (a, b), a < b; the colorer also takes ranks
 
 
 @dataclass(frozen=True)
@@ -60,19 +69,31 @@ def connected_components(pairs: Sequence[Pair]) -> List[List[int]]:
 
 
 def build_key_chain(pairs: Sequence[Pair], component: Sequence[int]) -> KeyChain:
-    """Greedy key chain of a connected component."""
-    first = min(component, key=lambda i: (pairs[i][0], -pairs[i][1], i))
-    keys = [first]
+    """Greedy key chain of a connected component.
+
+    One sort by (start, -end, index) and a heap keyed (-end, start, index):
+    an interval is pushed once its start reaches the current key's end, and
+    entries starting before the current key are dropped lazily from the top
+    (key starts only grow). The top then ends last among the intervals
+    starting inside the current key; it is the successor if it ends later.
+    A former key never ends later than the current one, so it is never
+    picked again.
+    """
+    order = sorted(component, key=lambda i: (pairs[i][0], -pairs[i][1], i))
+    keys = [order[0]]
+    heap: list = []
+    nxt = 0
     while True:
         a_cur, b_cur = pairs[keys[-1]]
-        candidates = [
-            i
-            for i in component
-            if i not in keys and a_cur <= pairs[i][0] <= b_cur and pairs[i][1] > b_cur
-        ]
-        if not candidates:
+        while nxt < len(order) and pairs[order[nxt]][0] <= b_cur:
+            i = order[nxt]
+            heapq.heappush(heap, (-pairs[i][1], pairs[i][0], i))
+            nxt += 1
+        while heap[0][1] < a_cur:
+            heapq.heappop(heap)
+        if -heap[0][0] <= b_cur:
             break
-        keys.append(min(candidates, key=lambda i: (-pairs[i][1], pairs[i][0], i)))
+        keys.append(heap[0][2])
 
     # Chain shape: successor starts inside predecessor and ends strictly later.
     for j in range(len(keys) - 1):
@@ -102,20 +123,34 @@ def build_key_chain(pairs: Sequence[Pair], component: Sequence[int]) -> KeyChain
 def _color_component(pairs: Sequence[Pair], chain: KeyChain, colors: dict) -> None:
     keys = chain.keys
     key_set = set(keys)
-    nonkeys = [i for i in chain.component if i not in key_set]
-    # overlap j = keys[j] cap keys[j+1] = [a_{j+1}, b_j], nonempty by chain shape
-    overlaps = [
-        (pairs[keys[j + 1]][0], pairs[keys[j]][1]) for j in range(len(keys) - 1)
-    ]
+    nonkeys = sorted(
+        (i for i in chain.component if i not in key_set), key=lambda i: pairs[i][0]
+    )
+    key_starts = [pairs[k][0] for k in keys]
+    key_ends = [pairs[k][1] for k in keys]
+    # overlap j = keys[j] cap keys[j+1] = [a_{j+1}, b_j], nonempty by chain
+    # shape. Key starts, key ends and so both overlap bounds are
+    # non-decreasing along the chain.
+    overlap_starts = key_starts[1:]
+    overlap_ends = key_ends[:-1]
 
+    # Keys j and j+1 share a color iff some non-key contains overlap j: sweep
+    # the overlaps left to right with the farthest end of the non-keys
+    # starting at or before the overlap.
     colors[keys[0]] = 1
-    for j, (olo, ohi) in enumerate(overlaps):
-        same = any(
-            pairs[i][0] <= olo and ohi <= pairs[i][1] for i in nonkeys
-        )
+    reach = key_starts[0]  # below every overlap end
+    n = 0
+    for j, (olo, ohi) in enumerate(zip(overlap_starts, overlap_ends)):
+        while n < len(nonkeys) and pairs[nonkeys[n]][0] <= olo:
+            reach = max(reach, pairs[nonkeys[n]][1])
+            n += 1
         prev = colors[keys[j]]
-        colors[keys[j + 1]] = prev if same else 3 - prev
+        colors[keys[j + 1]] = prev if reach >= ohi else 3 - prev
 
+    # The keys (or overlaps) containing [a, b] are those starting at or
+    # before a and ending at or after b; those inside [a, b] start at or
+    # after a and end at or before b. Either way one contiguous run of the
+    # chain, found by bisection.
     for i in nonkeys:
         a, b = pairs[i]
         # Case 1: inside a key-overlap. Such an interval can itself be the
@@ -124,50 +159,113 @@ def _color_component(pairs: Sequence[Pair], chain: KeyChain, colors: dict) -> No
         # must oppose the left key. Overlaps are pairwise disjoint because
         # key ends increase strictly along the chain, so the choice is
         # unambiguous.
-        inside_overlap = [
-            j for j, (olo, ohi) in enumerate(overlaps) if olo <= a and b <= ohi
-        ]
-        if inside_overlap:
-            if len(inside_overlap) != 1:
+        lo = bisect_left(overlap_ends, b)
+        hi = bisect_right(overlap_starts, a)
+        if hi > lo:
+            if hi - lo != 1:
                 raise AlgorithmInvariantError(
-                    "interval inside two key-overlaps", witness=(a, b)
+                    "interval inside two key-overlaps", witness=i
                 )
-            colors[i] = 3 - colors[keys[inside_overlap[0]]]
+            colors[i] = 3 - colors[keys[lo]]
             continue
         # Case 2: inside a unique key.
-        inside = [j for j, k in enumerate(keys) if pairs[k][0] <= a and b <= pairs[k][1]]
-        if inside:
-            if len(inside) != 1:
+        lo = bisect_left(key_ends, b)
+        hi = bisect_right(key_starts, a)
+        if hi > lo:
+            if hi - lo != 1:
                 raise AlgorithmInvariantError(
                     "non-key interval inside two keys but not their overlap",
-                    witness=(a, b),
+                    witness=i,
                 )
-            colors[i] = 3 - colors[keys[inside[0]]]
+            colors[i] = 3 - colors[keys[lo]]
             continue
         # Case 3: contains a unique key-overlap.
-        around = [j for j, (olo, ohi) in enumerate(overlaps) if a <= olo and ohi <= b]
-        if len(around) != 1:
+        lo = bisect_left(overlap_starts, a)
+        hi = bisect_right(overlap_ends, b)
+        if hi - lo != 1:
             raise AlgorithmInvariantError(
                 "non-key interval matches no containment case of the key chain",
-                witness=(a, b),
+                witness=i,
             )
-        colors[i] = 3 - colors[keys[around[0]]]
+        colors[i] = 3 - colors[keys[lo]]
+
+
+def _ranks(pairs: Sequence[Pair]) -> Tuple[List[Fraction], List[Tuple[int, int]]]:
+    """The distinct endpoints in order, and each pair as their ranks."""
+    values = sorted({x for pair in pairs for x in pair})
+    rank = {x: r for r, x in enumerate(values)}
+    return values, [(rank[a], rank[b]) for a, b in pairs]
 
 
 def two_color(pairs: Sequence[Pair]) -> List[int]:
     """Colors in {1, 2} for a family of (a, b) intervals, a < b."""
+    _, ranked = _ranks(pairs)
     colors: dict = {}
-    for component in connected_components(pairs):
-        chain = build_key_chain(pairs, component)
-        _color_component(pairs, chain, colors)
+    for component in connected_components(ranked):
+        chain = build_key_chain(ranked, component)
+        _color_component(ranked, chain, colors)
     return [colors[i] for i in range(len(pairs))]
 
 
+def find_monochromatic(
+    pairs: Sequence[Pair], colors: Sequence[int]
+) -> Optional[Tuple[Fraction, Tuple[int, ...]]]:
+    """A point of depth >= 2 whose covering intervals share one color.
+
+    Returns (x, covering indices) for the leftmost such point, or None when
+    the coloring of the closed intervals is proper. Sweeps the distinct
+    endpoints in order with per-color counts of the active intervals: each
+    endpoint is checked after the intervals starting there are added, and
+    the open gap to its right after those ending there are removed (the
+    gap's witness is its midpoint).
+    """
+    values, ranked = _ranks(pairs)
+    starting: List[list] = [[] for _ in values]  # colors starting at rank r
+    ending: List[list] = [[] for _ in values]
+    for c, (a, b) in zip(colors, ranked):
+        starting[a].append(c)
+        ending[b].append(c)
+    count: dict = {}  # color -> active intervals of that color
+    active = 0
+    for r, x in enumerate(values):
+        for c in starting[r]:
+            count[c] = count.get(c, 0) + 1
+        active += len(starting[r])
+        if active >= 2 and len(count) == 1:
+            return x, _covering(pairs, x)
+        for c in ending[r]:
+            count[c] -= 1
+            if not count[c]:
+                del count[c]
+        active -= len(ending[r])
+        if active >= 2 and len(count) == 1:
+            mid = (x + values[r + 1]) / 2
+            return mid, _covering(pairs, mid)
+    return None
+
+
+def _covering(pairs: Sequence[Pair], x: Fraction) -> Tuple[int, ...]:
+    return tuple(i for i, (a, b) in enumerate(pairs) if a <= x <= b)
+
+
 def color_intervals(instance: Instance) -> Coloring:
-    """Proper 2-coloring of the hypergraph induced by an interval instance."""
+    """Proper 2-coloring of the hypergraph induced by an interval instance.
+
+    The coloring is verified by find_monochromatic before it is returned; a
+    monochromatic point raises AlgorithmInvariantError carrying the point
+    and its covering set.
+    """
     if instance.cls is not ObjectClass.INTERVALS:
         raise ClassMismatchError(f"expected intervals, got {instance.cls.value}")
     if instance.m == 0:
         return Coloring((), 2)
     pairs = [(o.a, o.b) for o in instance.objects]
-    return Coloring(tuple(two_color(pairs)), 2)
+    colors = two_color(pairs)
+    bad = find_monochromatic(pairs, colors)
+    if bad is not None:
+        x, covering = bad
+        raise AlgorithmInvariantError(
+            f"interval coloring is not proper: point {x} is monochromatic",
+            witness=((x,), covering),
+        )
+    return Coloring(tuple(colors), 2)

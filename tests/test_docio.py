@@ -38,6 +38,23 @@ def test_deeply_nested_json_is_a_parse_error():
         parse_coloring(deep)
 
 
+@pytest.mark.parametrize(
+    "weight, point",
+    [
+        ("1" * 5000, "0"),  # a JSON integer over the 4300-digit limit
+        ('"' + "1" * 5000 + '"', "0"),  # a rational string
+        ('"1/' + "1" * 5000 + '"', "0"),  # its denominator
+        ("1", '"' + "1" * 5000 + '"'),  # a point coordinate string
+        ("1", "1" * 5000),  # a point coordinate integer
+    ],
+    ids=["weight-int", "weight-str", "denominator", "coord-str", "coord-int"],
+)
+def test_over_long_numbers_are_parse_errors(weight, point):
+    with pytest.raises(ParseError):
+        parse_instance('{"class": "intervals", "objects": [{"a": 0, "b": 1}], '
+                       f'"weights": [{weight}], "points": [[{point}]]}}')
+
+
 def test_parse_instance_basic():
     inst = parse_instance(json.dumps(GOOD_DOC))
     assert inst.cls is ObjectClass.SEGMENTS

@@ -182,3 +182,16 @@ def test_random_octants_targets_all_deep():
 def test_random_rejects_nonpositive_n():
     with pytest.raises(ValueError):
         gen_random(ObjectClass.RAYS, 0, seed=1)
+
+
+def test_gen_random_checks_each_target_depth_once(monkeypatch):
+    from geomextract import core
+
+    calls = []
+    real_depth = core.depth
+    monkeypatch.setattr(core, "depth", lambda inst, p: calls.append(p) or real_depth(inst, p))
+    inst = gen_random(ObjectClass.OCTANTS, 30, 0)
+    monkeypatch.undo()
+    assert len(inst.points) == 169
+    assert sorted(calls) == sorted(inst.points)  # the oracle's witness re-check
+    assert all(depth(inst, p)[0] >= 2 for p in inst.points)

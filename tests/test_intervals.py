@@ -1,12 +1,31 @@
+import hashlib
 import itertools
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from geomextract import ObjectClass, check_proper, color_intervals, gen_random, make_instance
-from geomextract.core import AlgorithmInvariantError, Interval
-from geomextract.intervals import build_key_chain, connected_components, two_color
+from geomextract import (
+    Coloring,
+    ObjectClass,
+    check_proper,
+    color_intervals,
+    color_segments,
+    gen_random,
+    make_instance,
+)
+from geomextract import axis2d, intervals
+from geomextract.cli import main
+from geomextract.core import AlgorithmInvariantError, Axis, Interval, Segment
+from geomextract.docio import instance_to_json
+from geomextract.intervals import (
+    build_key_chain,
+    connected_components,
+    find_monochromatic,
+    two_color,
+)
 
 
 def _pairs(*bounds):
@@ -141,3 +160,222 @@ def test_key_chain_invariant_survives_without_asserts():
     with pytest.raises(AlgorithmInvariantError) as info:
         build_key_chain([(F(0), F(1)), (F(5), F(6))], [0, 1])
     assert info.value.witness == (0,)
+
+
+# ---------------------------------------------------------------------------
+# The quadratic colorer the heap/bisect one replaced, kept as a reference:
+# each key rescans the component, each overlap scans every non-key, each
+# non-key scans every overlap and key.
+# ---------------------------------------------------------------------------
+
+def _reference_keys(pairs, component):
+    first = min(component, key=lambda i: (pairs[i][0], -pairs[i][1], i))
+    keys = [first]
+    while True:
+        a_cur, b_cur = pairs[keys[-1]]
+        candidates = [
+            i
+            for i in component
+            if i not in keys and a_cur <= pairs[i][0] <= b_cur and pairs[i][1] > b_cur
+        ]
+        if not candidates:
+            return tuple(keys)
+        keys.append(min(candidates, key=lambda i: (-pairs[i][1], pairs[i][0], i)))
+
+
+def _reference_color_component(pairs, component, keys, colors):
+    nonkeys = [i for i in component if i not in keys]
+    overlaps = [
+        (pairs[keys[j + 1]][0], pairs[keys[j]][1]) for j in range(len(keys) - 1)
+    ]
+    colors[keys[0]] = 1
+    for j, (olo, ohi) in enumerate(overlaps):
+        same = any(pairs[i][0] <= olo and ohi <= pairs[i][1] for i in nonkeys)
+        prev = colors[keys[j]]
+        colors[keys[j + 1]] = prev if same else 3 - prev
+    for i in nonkeys:
+        a, b = pairs[i]
+        inside_overlap = [
+            j for j, (olo, ohi) in enumerate(overlaps) if olo <= a and b <= ohi
+        ]
+        inside = [j for j, k in enumerate(keys) if pairs[k][0] <= a and b <= pairs[k][1]]
+        around = [j for j, (olo, ohi) in enumerate(overlaps) if a <= olo and ohi <= b]
+        if inside_overlap:
+            assert len(inside_overlap) == 1
+            colors[i] = 3 - colors[keys[inside_overlap[0]]]
+        elif inside:
+            assert len(inside) == 1
+            colors[i] = 3 - colors[keys[inside[0]]]
+        else:
+            assert len(around) == 1
+            colors[i] = 3 - colors[keys[around[0]]]
+
+
+def _reference_two_color(pairs):
+    colors = {}
+    chains = []
+    for component in connected_components(pairs):
+        keys = _reference_keys(pairs, component)
+        chains.append(keys)
+        _reference_color_component(pairs, component, keys, colors)
+    return [colors[i] for i in range(len(pairs))], chains
+
+
+def _random_pairs(rng, n):
+    """Half-integer endpoints on a short range, with duplicates and nesting
+    common and touching endpoints frequent."""
+    pairs = []
+    for _ in range(n):
+        a = F(rng.randint(0, 40), 2)
+        pairs.append((a, a + F(rng.randint(1, 16), 2)))
+    for _ in range(rng.randint(0, n // 4)):
+        pairs.append(rng.choice(pairs))  # duplicate
+    for _ in range(rng.randint(0, n // 4)):
+        a, b = rng.choice(pairs)
+        pairs.append((a, b + rng.randint(0, 2)) if rng.random() < 0.5 else (a - 1, b))
+    rng.shuffle(pairs)
+    return pairs
+
+
+def test_colorer_matches_quadratic_reference():
+    rng = random.Random(20261019)
+    for _ in range(1200):
+        pairs = _random_pairs(rng, rng.randint(1, 40))
+        expected_colors, expected_chains = _reference_two_color(pairs)
+        chains = [build_key_chain(pairs, c).keys for c in connected_components(pairs)]
+        assert chains == expected_chains, pairs
+        assert two_color(pairs) == expected_colors, pairs
+
+
+def _staircase(rng, n, offset=0):
+    """(lo, hi) pairs where each interval overlaps exactly the next two,
+    half of the ends on a half-integer (the benchmark's staircase shape)."""
+    starts = [offset + 10 * i + rng.randint(0, 2) for i in range(n + 3)]
+    out = []
+    for i in range(n):
+        hi = F(rng.randint(starts[i + 2] + 1, starts[i + 3] - 1))
+        if rng.random() < 0.5:
+            hi -= F(1, 2)
+        out.append((F(starts[i]), hi))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_staircase_coloring_frozen(seed):
+    pairs = _staircase(random.Random(seed), 400)
+    (component,) = connected_components(pairs)
+    assert build_key_chain(pairs, component).keys == tuple(range(0, 400, 2)) + (399,)
+    assert two_color(pairs) == [1, 2] * 200
+
+
+def test_segment_staircase_coloring_frozen():
+    rng = random.Random(7)
+    segments = []
+    for k in range(4):  # two horizontal and two vertical lines, no crossing
+        axis = Axis.HORIZONTAL if k < 2 else Axis.VERTICAL
+        line = F(7 * k if k < 2 else -1000 * (k - 1))
+        offset = 0 if k < 2 else 10**5
+        segments += [Segment(axis, line, lo, hi) for lo, hi in _staircase(rng, 100, offset)]
+    colors = color_segments(make_instance(ObjectClass.SEGMENTS, segments)).colors
+    digest = hashlib.sha256("".join(map(str, colors)).encode()).hexdigest()
+    assert digest[:16] == "c773b812610e57bc"
+
+
+def test_long_staircase_colors_fast():
+    inst = make_instance(
+        ObjectClass.INTERVALS,
+        [Interval(a, b) for a, b in _staircase(random.Random(1600), 1600)],
+    )
+    start = time.perf_counter()
+    col = color_intervals(inst)
+    assert time.perf_counter() - start < 1.0  # the quadratic colorer took ~10 s
+    assert col.colors == (1, 2) * 800
+
+
+# ---------------------------------------------------------------------------
+# Sweep verifier
+# ---------------------------------------------------------------------------
+
+def test_sweep_reports_monochromatic_endpoint():
+    assert find_monochromatic(_pairs((0, 1), (1, 2)), [1, 1]) == (F(1), (0, 1))
+    assert find_monochromatic(_pairs((0, 1), (1, 2)), [1, 2]) is None
+    assert find_monochromatic(_pairs((0, 1), (2, 3)), [1, 1]) is None
+
+
+def test_sweep_reports_monochromatic_gap():
+    # Every endpoint sees both colors; only the open gap (1, 3) does not.
+    pairs = _pairs((0, 1), (1, 3), (1, 3), (3, 4))
+    assert find_monochromatic(pairs, [2, 1, 1, 2]) == (F(2), (1, 2))
+
+
+def test_improper_interval_coloring_raises_with_witness(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(intervals, "two_color", lambda pairs: [1] * len(pairs))
+    inst = make_instance(
+        ObjectClass.INTERVALS, [Interval(F(0), F(2)), Interval(F(5), F(6)), Interval(F(1), F(3))]
+    )
+    with pytest.raises(AlgorithmInvariantError) as info:
+        color_intervals(inst)
+    assert info.value.witness == ((F(1),), (0, 2))
+    doc = tmp_path / "inst.json"
+    doc.write_text(instance_to_json(inst))
+    assert main(["color", str(doc)]) == 4
+    assert "not proper" in capsys.readouterr().err
+
+
+def test_improper_segment_coloring_raises_with_witness(monkeypatch):
+    monkeypatch.setattr(axis2d, "two_color", lambda pairs: [1] * len(pairs))
+    segments = [
+        Segment(Axis.HORIZONTAL, F(0), F(0), F(2)),
+        Segment(Axis.VERTICAL, F(9), F(0), F(4)),
+        Segment(Axis.VERTICAL, F(9), F(3), F(5)),
+    ]
+    with pytest.raises(AlgorithmInvariantError) as info:
+        color_segments(make_instance(ObjectClass.SEGMENTS, segments))
+    assert info.value.witness == ((F(9), F(3)), (1, 2))
+
+
+# Wide fractional coordinates: denominators up to 6 on a range of 30, so
+# endpoints collide only sometimes and cells are narrow. Up to 12 objects
+# keeps every instance under the grid oracle's cap.
+_coord = st.builds(F, st.integers(0, 180), st.sampled_from([1, 2, 3, 5, 6])).map(
+    lambda x: x / 6
+)
+_interval = st.tuples(_coord, _coord).filter(lambda p: p[0] != p[1]).map(
+    lambda p: (min(p), max(p))
+)
+_intervals = st.lists(_interval, min_size=1, max_size=12)
+_segment = st.builds(
+    lambda axis, line, ends: Segment(axis, line, *ends),
+    st.sampled_from([Axis.HORIZONTAL, Axis.VERTICAL]),
+    st.sampled_from([F(0), F(1, 2), F(3)]),
+    _interval,
+)
+_segments = st.lists(_segment, min_size=1, max_size=12)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_intervals, st.randoms(use_true_random=False))
+def test_sweep_agrees_with_grid_oracle_on_intervals(pairs, rng):
+    inst = make_instance(ObjectClass.INTERVALS, [Interval(a, b) for a, b in pairs])
+    colors = [rng.randint(1, 2) for _ in pairs]
+    verdict = check_proper(inst, Coloring(tuple(colors), 2))
+    assert (find_monochromatic(pairs, colors) is None) == verdict.proper
+    col = color_intervals(inst)
+    assert find_monochromatic(pairs, col.colors) is None
+    assert check_proper(inst, col).proper
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_segments, st.randoms(use_true_random=False))
+def test_sweep_agrees_with_grid_oracle_on_segments(segments, rng):
+    # Palettes {1, 2} and {3, 4} by axis, as the colorer uses them, so every
+    # crossing point is bichromatic and the per-line sweep decides.
+    inst = make_instance(ObjectClass.SEGMENTS, segments)
+    colors = [rng.randint(1, 2) + (0 if s.axis is Axis.HORIZONTAL else 2) for s in segments]
+    sweep_proper = all(
+        find_monochromatic([(segments[i].lo, segments[i].hi) for i in g.members],
+                           [colors[i] for i in g.members]) is None
+        for g in axis2d.line_groups(segments)
+    )
+    assert sweep_proper == check_proper(inst, Coloring(tuple(colors), 4)).proper
+    assert check_proper(inst, color_segments(inst)).proper
