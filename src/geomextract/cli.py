@@ -50,7 +50,9 @@ EXIT_INVARIANT = 4
 EXIT_DEPTH = 5
 
 
-def color_instance(instance: Instance, size_cap: Optional[int] = None) -> Coloring:
+def color_instance(
+    instance: Instance, size_cap: int = octants.DEFAULT_SIZE_CAP
+) -> Coloring:
     """Dispatch to the class-appropriate colorer."""
     if instance.cls is ObjectClass.INTERVALS:
         return intervals.color_intervals(instance)
@@ -58,7 +60,7 @@ def color_instance(instance: Instance, size_cap: Optional[int] = None) -> Colori
         return axis2d.color_segments(instance)
     if instance.cls is ObjectClass.RAYS:
         return axis2d.color_rays(instance)
-    return octants.color_octants(instance, size_cap or octants.DEFAULT_SIZE_CAP)
+    return octants.color_octants(instance, size_cap)
 
 
 def _read_instance(path: str) -> Instance:
@@ -243,9 +245,7 @@ def _cmd_verify(args) -> int:
         coloring = _read_coloring(args.coloring)
         if len(coloring.colors) != instance.m:
             raise ParseError("coloring length does not match instance")
-        verdict = oracle.check_proper(
-            instance, coloring, size_cap=args.size_cap or oracle.DEFAULT_SIZE_CAP
-        )
+        verdict = oracle.check_proper(instance, coloring, size_cap=args.size_cap)
         result = {"verdict": "proper" if verdict.proper else "improper"}
         if not verdict.proper:
             result["monochromatic_edge"] = sorted(verdict.edge)
@@ -270,9 +270,7 @@ def _cmd_verify(args) -> int:
 def _cmd_bounds(args) -> int:
     started = time.perf_counter()
     instance = _read_instance(args.input)
-    cover, weight = extraction.exact_min_cover(
-        instance, size_cap=args.size_cap or extraction.DEFAULT_COVER_CAP
-    )
+    cover, weight = extraction.exact_min_cover(instance, size_cap=args.size_cap)
     result = {
         "min_cover": sorted(cover),
         "min_cover_weight": rational_repr(weight),
@@ -283,10 +281,9 @@ def _cmd_bounds(args) -> int:
         )
     except UnboundedExtractionError:
         result["extraction_number"] = "unbounded"
-    chromatic_cap = args.chromatic_cap or extraction.DEFAULT_CHROMATIC_CAP
-    if instance.m <= chromatic_cap:
+    if instance.m <= args.chromatic_cap:
         result["chromatic"] = extraction.exact_chromatic(
-            instance, size_cap=chromatic_cap
+            instance, size_cap=args.chromatic_cap
         )
     else:
         result["chromatic"] = None
@@ -318,6 +315,13 @@ def _cmd_render(args) -> int:
 # Parser and entry
 # ---------------------------------------------------------------------------
 
+def cap(text: str) -> int:
+    """argparse type of the cap options; 0 is a valid cap that refuses every object."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"cap must be >= 0, got {text}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="geomextract",
@@ -341,14 +345,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--class", dest="klass",
                    choices=[c.value for c in ObjectClass])
-    p.add_argument("--size-cap", type=int)
+    p.add_argument("--size-cap", type=cap, default=octants.DEFAULT_SIZE_CAP)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_color)
 
     p = sub.add_parser("extract", help="extract a heavy residual class")
     p.add_argument("input")
     p.add_argument("--coloring")
-    p.add_argument("--size-cap", type=int)
+    p.add_argument("--size-cap", type=cap, default=octants.DEFAULT_SIZE_CAP)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_extract)
 
@@ -356,13 +360,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--coloring")
     p.add_argument("--cover")
-    p.add_argument("--size-cap", type=int)
+    p.add_argument("--size-cap", type=cap, default=oracle.DEFAULT_SIZE_CAP)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("bounds", help="exact min cover, extraction, chromatic")
     p.add_argument("input")
-    p.add_argument("--size-cap", type=int)
-    p.add_argument("--chromatic-cap", type=int)
+    p.add_argument("--size-cap", type=cap, default=extraction.DEFAULT_COVER_CAP)
+    p.add_argument("--chromatic-cap", type=cap,
+                   default=extraction.DEFAULT_CHROMATIC_CAP)
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("render", help="emit an SVG figure")

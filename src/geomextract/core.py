@@ -354,13 +354,6 @@ class Coloring:
             if not 1 <= c <= self.kappa:
                 raise ValueError(f"color {c} outside 1..{self.kappa}")
 
-    def color_classes(self) -> dict:
-        """Map color -> sorted list of indices with that color."""
-        classes: dict = {c: [] for c in range(1, self.kappa + 1)}
-        for i, c in enumerate(self.colors):
-            classes[c].append(i)
-        return classes
-
     def used_colors(self) -> set:
         return set(self.colors)
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
-from . import core, oracle
+from . import oracle
 from .core import (
     AlgorithmInvariantError,
     Coloring,
@@ -48,36 +48,30 @@ class ExtractionResult:
 def extract(instance: Instance, coloring: Coloring) -> ExtractionResult:
     """Remove the heaviest color class; verify the rest still covers T.
 
-    One core.depth pass gives each point's coverers: they check depth >= 2,
-    and a point is missed by the rest iff all its coverers were extracted.
+    One oracle.coverer_masks lookup gives each point's coverers: they check
+    depth >= 2, and a point is missed by the rest iff all its coverers were
+    extracted.
     """
     if instance.m == 0:
         raise ValueError("cannot extract from an empty instance")
     if len(coloring.colors) != instance.m:
         raise ValueError("coloring is not total over the instance")
-    coverers = []
-    for p in instance.points:
-        n, cov = core.depth(instance, p)
-        if n < 2:
+    coverers = oracle.coverer_masks(instance)
+    for p, mask in zip(instance.points, coverers):
+        if mask & (mask - 1) == 0:
             raise DepthPreconditionError(
-                f"target point {p} has depth {n} < 2", point=p
+                f"target point {p} has depth {mask.bit_count()} < 2", point=p
             )
-        coverers.append(cov)
 
-    class_weight: Dict[int, Fraction] = {
-        c: Fraction(0) for c in range(1, coloring.kappa + 1)
-    }
+    class_weight = dict.fromkeys(range(1, coloring.kappa + 1), Fraction(0))
     for i, c in enumerate(coloring.colors):
         class_weight[c] += instance.weights[i]
-    best_color = max(
-        class_weight, key=lambda c: (class_weight[c], -c)
-    )
+    best_color = max(class_weight, key=lambda c: (class_weight[c], -c))
 
-    extracted = frozenset(
-        i for i, c in enumerate(coloring.colors) if c == best_color
-    )
-    for p, cov in zip(instance.points, coverers):
-        if cov <= extracted:
+    extracted = frozenset(i for i, c in enumerate(coloring.colors) if c == best_color)
+    kept = sum(1 << i for i, c in enumerate(coloring.colors) if c != best_color)
+    for p, mask in zip(instance.points, coverers):
+        if not mask & kept:
             raise ImproperColoringError(
                 f"residual objects miss target point {p}; "
                 "the supplied coloring is not proper",
@@ -87,9 +81,7 @@ def extract(instance: Instance, coloring: Coloring) -> ExtractionResult:
     w_all = total_weight(instance, instance.indices())
     w_extracted = class_weight[best_color]
     if w_extracted * coloring.kappa < w_all:
-        raise AlgorithmInvariantError(
-            "heaviest color class below W/kappa"
-        )
+        raise AlgorithmInvariantError("heaviest color class below W/kappa")
     return ExtractionResult(
         sol, extracted, w_extracted, w_all / w_extracted, coloring.kappa
     )
@@ -101,13 +93,12 @@ def extract(instance: Instance, coloring: Coloring) -> ExtractionResult:
 
 def _coverer_sets(instance: Instance) -> List[frozenset]:
     sets = []
-    for p in instance.points:
-        n, cov = core.depth(instance, p)
-        if n == 0:
+    for p, mask in zip(instance.points, oracle.coverer_masks(instance)):
+        if not mask:
             raise UncoverablePointError(
                 f"target point {p} is covered by no object", point=p
             )
-        sets.append(cov)
+        sets.append(oracle._mask_members(mask))
     return sets
 
 

@@ -14,8 +14,8 @@ hyperedges are exactly the minimal sets among the m(m-1)/2 join covers, and
 a coloring is proper iff none of them is monochromatic. The search accepts
 and prunes exactly the partial colorings it would on the full hypergraph:
 the size-2 edges are the same, and every hyperedge contains a minimal one.
-Apexes are compressed to integer ranks once per axis, so joins and covers
-are ints and bitmasks rather than Fractions.
+Apexes become integer ranks once per axis, read from the oracle's coverage
+table, so joins and covers are ints and bitmasks rather than Fractions.
 
 The triangle view stays: compute_cmax places the plane that rendering
 draws, and project and color_triangles remain for tests and for studying
@@ -62,20 +62,14 @@ def _rank_table(octants: Sequence[Octant]) -> tuple:
     """ranks[d][i]: rank of a_i on axis d; below[d][t]: mask of ranks <= t.
 
     The octants containing a point of ranks (tx, ty, tz) are then
-    below[0][tx] & below[1][ty] & below[2][tz].
+    below[0][tx] & below[1][ty] & below[2][tz]: the oracle's table over the
+    extents (a_i, None), read at its events.
     """
     ranks, below = [], []
     for d in range(3):
-        values = sorted({o.apex[d] for o in octants})
-        rank_of = {v: t for t, v in enumerate(values)}
-        axis_ranks = [rank_of[o.apex[d]] for o in octants]
-        masks = [0] * len(values)
-        for i, t in enumerate(axis_ranks):
-            masks[t] |= 1 << i
-        for t in range(1, len(masks)):
-            masks[t] |= masks[t - 1]
-        ranks.append(axis_ranks)
-        below.append(masks)
+        _, slot, masks = oracle._axis_table([(o.apex[d], None) for o in octants])
+        ranks.append([slot[o.apex[d]] // 2 for o in octants])
+        below.append(masks[1::2])
     return ranks, below
 
 
@@ -189,7 +183,7 @@ def join_cover_edges(octants: Sequence[Octant]) -> List[frozenset]:
     for cover in sorted(covers, key=int.bit_count):
         if not any(e & cover == e for e in minimal):
             minimal.append(cover)
-    edges = [frozenset(i for i in range(m) if e >> i & 1) for e in minimal]
+    edges = [oracle._mask_members(e) for e in minimal]
     return sorted(edges, key=lambda e: (len(e), sorted(e)))
 
 

@@ -6,13 +6,15 @@ product of closed per-axis extents [lo, hi]. An extent may be degenerate
 (lo == hi, the line of a segment or of a ray) or open on one side (a ray,
 an octant). Membership is therefore a conjunction of per-axis conditions,
 and on each axis it can change only at an "event", an extent endpoint.
-Candidate coordinates at all events, midpoints between consecutive events,
-and one sentinel past the extreme event on each side where some extent is
-open witness every cell. Each axis yields one bitmask of covering objects
-per candidate, and the covering set at a grid point is the intersection of
-its per-axis masks. That claim is not assumed: it is tested against dumb
-dense sampling (see enumerate_hyperedges_dense), and every returned witness
-is re-checked with core.depth.
+One table per axis (_axis_table) holds the sorted events and the mask of
+objects covering each event and each open gap around them; the covering
+set at a point is the AND of its per-axis masks. The grid takes one
+candidate per distinct mask (an event, a gap midpoint, or a sentinel past
+the extreme event on an open side) and so witnesses every cell;
+coverer_masks serves extract, check_cover and the exact covers, and the
+octant ranks come from the same table. That claim is not assumed: it is
+tested against dense sampling and core.depth, and every returned grid
+witness is re-checked with core.depth.
 
 Plane triangles (octant projections) have a slanted side and are
 enumerated separately, by horizontal slices.
@@ -21,8 +23,12 @@ enumerated separately, by horizontal slices.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Iterable, Optional, Sequence
 
 from . import core
@@ -92,59 +98,73 @@ def _box(obj) -> tuple:
     if isinstance(obj, Segment):
         run, line = (obj.lo, obj.hi), (obj.line, obj.line)
         return (run, line) if obj.axis is Axis.HORIZONTAL else (line, run)
-    if isinstance(obj, Ray):
-        ax, ay = obj.apex
-        return {
-            1: ((ax, None), (ay, ay)),
-            2: ((None, ax), (ay, ay)),
-            3: ((ax, ax), (ay, None)),
-            4: ((ax, ax), (None, ay)),
-        }[obj.orientation]
+    if isinstance(obj, Ray):  # orientation 1: +x, 2: -x, 3: +y, 4: -y
+        (ax, ay), o = obj.apex, obj.orientation
+        if o <= 2:
+            return ((ax, None) if o == 1 else (None, ax)), (ay, ay)
+        return (ax, ax), ((ay, None) if o == 3 else (None, ay))
     return tuple((v, None) for v in obj.apex)
+
+
+def _axis_table(extents: Sequence[tuple]) -> tuple:
+    """Sorted events on one axis and the objects covering each slot.
+
+    Returns (events, slot, masks). Slot 2k+1 is events[k] (slot maps each
+    event to it), slot 2k the open gap below it, and the last slot the gap
+    above every event. Each extent starts and ends at an event, so each
+    object covers one contiguous run of slots: masks[s], the mask covering
+    slot s, is the running XOR of bits toggled at both ends of each run.
+    """
+    events = sorted({v for ext in extents for v in ext if v is not None})
+    slot = {v: 2 * k + 1 for k, v in enumerate(events)}
+    toggles = [0] * (2 * len(events) + 2)
+    for i, (lo, hi) in enumerate(extents):
+        toggles[0 if lo is None else slot[lo]] ^= 1 << i
+        toggles[-1 if hi is None else slot[hi] + 1] ^= 1 << i
+    return events, slot, list(itertools.accumulate(toggles[:-1], operator.xor))
 
 
 def _axis_candidates(extents: Sequence[tuple]) -> tuple:
     """Candidate coordinates on one axis and the objects covering each.
 
     Returns parallel lists (values, masks), ascending, keeping only the
-    first candidate of each distinct nonzero mask: any later candidate with
-    the same mask meets every other axis in cells already visited.
+    first slot of each distinct nonzero mask: any later slot with the same
+    mask meets every other axis in cells already visited. A gap's witness
+    is the midpoint of its ends; the outer ends give min - 1 and max + 1/2.
     """
-    events = {v for ext in extents for v in ext if v is not None}
-    # One sentinel past the extreme event on each open side: no membership
-    # changes beyond that event, so the sentinel (below) or the midpoint
-    # toward it (above) is the first witness of the unbounded cell.
-    if any(lo is None for lo, _ in extents):
-        events.add(min(events) - 1)
-    if any(hi is None for _, hi in extents):
-        events.add(max(events) + 1)
-    cands = _with_midpoints(events)
-    pos = {v: k for k, v in enumerate(cands)}
-    # Every extent starts and ends at an event, so each object covers one
-    # contiguous run of candidates: toggle its bit at both ends of the run.
-    toggles = [0] * (len(cands) + 1)
-    for i, (lo, hi) in enumerate(extents):
-        bit = 1 << i
-        toggles[0 if lo is None else pos[lo]] ^= bit
-        toggles[len(cands) if hi is None else pos[hi] + 1] ^= bit
+    events, _, masks = _axis_table(extents)
+    ends = [events[0] - 2, *events, events[-1] + 1]
     first: dict = {}
-    mask = 0
-    for v, t in zip(cands, toggles):
-        mask ^= t
-        if mask:
-            first.setdefault(mask, v)
+    for s, mask in enumerate(masks):
+        if mask and mask not in first:
+            k = s // 2
+            first[mask] = ends[k + 1] if s % 2 else Fraction(ends[k] + ends[k + 1], 2)
     return list(first.values()), list(first)
 
 
 def _mask_members(mask: int) -> frozenset:
+    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def coverer_masks(instance: Instance, chosen: Optional[Sequence[int]] = None) -> list:
+    """Per target point, in T order, the mask of the objects covering it.
+
+    Bit k stands for chosen[k] (default: every object, so for object k).
+    A point's mask is the AND of one lookup per axis: a dict hit on an
+    event, or a bisect into the gap holding the coordinate.
+    """
+    if chosen is None:
+        chosen = instance.indices()
+    boxes = [_box(instance.objects[i]) for i in chosen]
+    tables = [_axis_table([b[d] for b in boxes]) for d in range(instance.cls.dimension)]
     out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return frozenset(out)
+    for p in instance.points:
+        mask = -1
+        for x, (events, slot, masks) in zip(p, tables):
+            # event slots are odd, so a miss (None) falls through to the gap
+            mask &= masks[slot.get(x) or 2 * bisect_left(events, x)]
+        out.append(mask)
+    return out
 
 
 def _grid_edges(objects: Sequence) -> dict:
@@ -259,8 +279,6 @@ def _defining_values(instance: Instance) -> list:
 
 
 def _fraction_gcd(a: Fraction, b: Fraction) -> Fraction:
-    import math
-
     return Fraction(
         math.gcd(a.numerator * b.denominator, b.numerator * a.denominator),
         a.denominator * b.denominator,
@@ -278,8 +296,6 @@ def enumerate_hyperedges_dense(
     unit beyond the extremes. Deliberately shares nothing with the
     event-grid enumerator beyond core.depth.
     """
-    from functools import reduce
-
     if instance.m == 0:
         return HyperedgeSet({})
     axes = []
@@ -335,9 +351,7 @@ def check_cover(instance: Instance, subset: Iterable[int]) -> CoverVerdict:
     for i in chosen:
         if not 0 <= i < instance.m:
             raise IndexError(f"unknown object index {i}")
-    inside = core.MEMBERSHIP[instance.cls]
-    objs = [instance.objects[i] for i in chosen]
-    for k, p in enumerate(instance.points):
-        if not any(inside(o, p) for o in objs):
-            return CoverVerdict(False, p, k)
+    for k, mask in enumerate(coverer_masks(instance, chosen)):
+        if not mask:
+            return CoverVerdict(False, instance.points[k], k)
     return CoverVerdict(True)

@@ -3,6 +3,7 @@ import os
 import stat
 import threading
 
+import pytest
 
 from geomextract import gen_kbox, gen_octant4, parse_coloring, parse_instance, render_svg
 from geomextract.cli import main
@@ -136,6 +137,33 @@ def test_size_cap_exit_3(tmp_path, capsys):
     run(capsys, "gen", "--kind", "kbox", "--k", "3", "--out", str(p))
     code, _, _ = run(capsys, "bounds", str(p), "--size-cap", "10")
     assert code == 3
+
+
+def test_explicit_zero_caps_are_honored(tmp_path, capsys):
+    p, col = tmp_path / "oct.json", tmp_path / "col.json"
+    run(capsys, "gen", "--kind", "random", "--class", "octants", "--n", "12",
+        "--out", str(p))
+    run(capsys, "color", str(p), "--out", str(col))
+    for argv in (["color"], ["extract"], ["verify", "--coloring", str(col)],
+                 ["bounds"]):
+        code, _, _ = run(capsys, argv[0], str(p), *argv[1:], "--size-cap", "0")
+        assert code == 3, argv
+    code, report, _ = run(capsys, "bounds", str(p), "--chromatic-cap", "0")
+    assert code == 0
+    assert report["result"]["chromatic"] is None
+    assert "chromatic skipped" in report["result"]["notes"]
+
+
+def test_negative_caps_exit_2(tmp_path, capsys):
+    p = tmp_path / "pair.json"
+    run(capsys, "gen", "--kind", "interval-pair", "--out", str(p))
+    for argv in (["color", "--size-cap"], ["extract", "--size-cap"],
+                 ["verify", "--cover", "0", "--size-cap"],
+                 ["bounds", "--size-cap"], ["bounds", "--chromatic-cap"]):
+        with pytest.raises(SystemExit) as info:
+            main([argv[0], str(p), *argv[1:], "-1"])
+        assert info.value.code == 2, argv
+        assert "cap must be >= 0" in capsys.readouterr().err
 
 
 def test_improper_supplied_coloring_exit_4(tmp_path, capsys):

@@ -13,6 +13,7 @@ from geomextract import (
     UncoverablePointError,
     check_cover,
     color_instance,
+    depth,
     exact_chromatic,
     exact_extraction_number,
     exact_min_cover,
@@ -184,12 +185,18 @@ def test_extraction_number_empty_targets_is_one():
 
 
 def test_extract_never_beats_exact_optimum():
-    for seed in range(80):
-        inst = gen_random(ObjectClass.INTERVALS, 1 + seed % 10, seed)
-        res = extract(inst, color_instance(inst))
-        _, w_cover = exact_min_cover(inst)
-        w_all = total_weight(inst, inst.indices())
-        assert res.extracted_weight <= w_all - w_cover
+    # extract, exact_min_cover and check_cover share oracle.coverer_masks,
+    # so both covers are checked against core.depth here instead.
+    for cls in ObjectClass:
+        for seed in range(80 if cls is ObjectClass.INTERVALS else 40):
+            inst = gen_random(cls, 1 + seed % 10, seed)
+            res = extract(inst, color_instance(inst))
+            cover, w_cover = exact_min_cover(inst)
+            w_all = total_weight(inst, inst.indices())
+            assert res.extracted_weight <= w_all - w_cover, (cls, seed)
+            for p in inst.points:
+                assert depth(inst, p)[1] & res.sol, (cls, seed, p)
+                assert depth(inst, p)[1] & cover, (cls, seed, p)
 
 
 def test_chromatic_examples():

@@ -146,6 +146,56 @@ def test_grid_matches_dense_on_random_fractional_octants(octs):
     _assert_grid_matches_dense(ObjectClass.OCTANTS, octs)
 
 
+# Wide fractional coordinates (numerators -90..90 over denominators 1-6) for
+# the coverage table: events collide only sometimes and gaps are narrow.
+_wide = st.builds(F, st.integers(-90, 90), st.sampled_from([1, 2, 3, 5, 6]))
+_run = st.tuples(_wide, _wide).filter(lambda p: p[0] != p[1]).map(sorted)
+_OBJECTS = {
+    ObjectClass.INTERVALS: st.builds(lambda r: Interval(*r), _run),
+    ObjectClass.SEGMENTS: st.builds(
+        lambda axis, line, r: Segment(axis, line, *r),
+        st.sampled_from([Axis.HORIZONTAL, Axis.VERTICAL]), _wide, _run,
+    ),
+    ObjectClass.RAYS: st.builds(Ray, st.integers(1, 4), st.tuples(_wide, _wide)),
+    ObjectClass.OCTANTS: st.builds(Octant, st.tuples(_wide, _wide, _wide)),
+}
+
+
+def _coordinates(obj):
+    if isinstance(obj, Interval):
+        return (obj.a, obj.b)
+    if isinstance(obj, Segment):
+        return (obj.line, obj.lo, obj.hi)
+    return obj.apex
+
+
+@pytest.mark.parametrize("cls", list(ObjectClass), ids=lambda c: c.value)
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_coverer_masks_match_depth(cls, data):
+    # Coordinates of the points come from every defining value (events and
+    # segment or ray lines), the midpoints between them, and one value past
+    # each end; with no objects at all every mask must be 0.
+    objects = data.draw(st.lists(_OBJECTS[cls], max_size=10))
+    values = sorted({v for o in objects for v in _coordinates(o)}) or [F(1, 3)]
+    pool = [values[0] - 1, values[-1] + 1, *values]
+    pool += [(a + b) / 2 for a, b in zip(values, values[1:])]
+    axis = st.sampled_from(pool)
+    points = data.draw(
+        st.lists(st.tuples(*[axis] * cls.dimension), min_size=1, max_size=12)
+    )
+    inst = make_instance(cls, objects, points=points)
+    indices = range(len(objects))
+    chosen = sorted(data.draw(st.sets(st.sampled_from(indices)))) if objects else []
+
+    def mask_of(p, order):  # bit k for order[k]
+        covering = depth(inst, p)[1]
+        return sum(1 << k for k, i in enumerate(order) if i in covering)
+
+    assert oracle.coverer_masks(inst) == [mask_of(p, indices) for p in points]
+    assert oracle.coverer_masks(inst, chosen) == [mask_of(p, chosen) for p in points]
+
+
 def test_size_cap():
     inst = gen_random(ObjectClass.INTERVALS, 12, 0)
     with pytest.raises(SizeCapError):

@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import geomextract
@@ -19,3 +20,25 @@ def test_no_bare_asserts_in_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_traced_names_resolve_in_package():
+    # The benchmark's tracer rebinds each (module, function) of its TARGETS
+    # by name, and a traced run crashes on a name the package lost. The file
+    # is parsed, not imported.
+    tracing = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    tree = ast.parse(tracing.read_text(encoding="utf-8"))
+    targets = next(
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(getattr(t, "id", None) == "TARGETS" for t in node.targets)
+    )
+    names = [(row.elts[0].value, row.elts[1].value) for row in targets.elts]
+    assert names
+    missing = [
+        f"{module}.{function}"
+        for module, function in names
+        if not hasattr(importlib.import_module(f"geomextract.{module}"), function)
+    ]
+    assert missing == []
