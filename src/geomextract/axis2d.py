@@ -6,13 +6,13 @@ palette {1, 2} and vertical groups {3, 4}, and crossing hyperedges are then
 bichromatic for free. So checking each line group's 2-coloring with the
 interval sweep verifies the whole segment coloring before it is returned.
 
-Rays: dispatch on the number of distinct orientations present. One or two
-orientations are handled by dominating rays (the extremal ray on a line
-contains every other ray of that line and orientation). Three orientations
-reduce to the two that share an axis plus dominating rays of the third;
-the proof's horizontal-pair normal form is reached by rotating 90 degrees
-when the axis-sharing pair is vertical. Four orientations clip every ray to
-a bounding box and reuse the segment colorer.
+Rays of one to three orientations are colored by one dominating-ray rule.
+On each line, the extremal ray of an orientation contains every other ray
+of that line and orientation. Each orientation present maps to a pair
+(color of its dominating rays, color of the rest): the two orientations
+that share an axis (or the one or two present) get (1, 2) and (2, 1) in
+ascending order, and a third orientation gets (3, 1). Four orientations
+clip every ray to a bounding box and reuse the segment colorer.
 """
 
 from __future__ import annotations
@@ -122,25 +122,6 @@ def dominating_rays(rays: Sequence[Ray], indices: Sequence[int]) -> set:
     return {i for _, i in best.values()}
 
 
-def _color_two_orientation_classes(
-    rays: Sequence[Ray], colors: list, first: int, second: int
-) -> None:
-    """Dominating rays of the first class get 1 (rest 2), of the second get
-    2 (rest 1)."""
-    for orientation, dom_color in ((first, 1), (second, 2)):
-        idx = [i for i, r in enumerate(rays) if r.orientation == orientation]
-        doms = dominating_rays(rays, idx)
-        for i in idx:
-            colors[i] = dom_color if i in doms else 3 - dom_color
-
-
-def _rotate_ray(r: Ray) -> Ray:
-    """Rotate the plane by (x, y) -> (y, -x); orientations map 1,2,3,4 ->
-    4,3,1,2, turning a vertical axis pair into a horizontal one."""
-    x, y = r.apex
-    return Ray({1: 4, 2: 3, 3: 1, 4: 2}[r.orientation], (y, -x))
-
-
 def color_rays(instance: Instance) -> Coloring:
     """Proper coloring of a ray instance with as many colors as ray types
     (two colors for the single-orientation case)."""
@@ -148,45 +129,25 @@ def color_rays(instance: Instance) -> Coloring:
         raise ClassMismatchError(f"expected rays, got {instance.cls.value}")
     if instance.m == 0:
         raise ValueError("empty ray instance")
-    rays = list(instance.objects)
-    profile = ray_type_profile(rays)
-    present = sorted(profile.orientations_present)
-    colors = [0] * len(rays)
-
-    if profile.type == 1:
-        doms = dominating_rays(rays, range(len(rays)))
-        for i in range(len(rays)):
-            colors[i] = 1 if i in doms else 2
-        return Coloring(tuple(colors), 2)
-
-    if profile.type == 2:
-        _color_two_orientation_classes(rays, colors, present[0], present[1])
-        return Coloring(tuple(colors), 2)
-
-    if profile.type == 3:
-        if not {1, 2} <= profile.orientations_present:
-            # Vertical pair {3,4}: rotate to the horizontal normal form.
-            rotated = Instance(
-                ObjectClass.RAYS,
-                tuple(_rotate_ray(r) for r in rays),
-                instance.weights,
-                (),
-            )
-            inner = color_rays(rotated)
-            return Coloring(inner.colors, 3)
-        third = next(o for o in present if o not in (1, 2))
-        _color_two_orientation_classes(rays, colors, 1, 2)
-        idx3 = [i for i, r in enumerate(rays) if r.orientation == third]
-        doms3 = dominating_rays(rays, idx3)
-        for i in idx3:
-            colors[i] = 3 if i in doms3 else 1
-        return Coloring(tuple(colors), 3)
-
-    segments, _box = clip_rays_to_box(rays)
-    seg_instance = Instance(
-        ObjectClass.SEGMENTS, tuple(segments), instance.weights, ()
+    rays = instance.objects
+    present = ray_type_profile(rays).orientations_present
+    if len(present) == 4:
+        segments, _box = clip_rays_to_box(rays)
+        return color_segments(
+            Instance(ObjectClass.SEGMENTS, tuple(segments), instance.weights, ())
+        )
+    # (color of the dominating rays, color of the rest) per orientation: the
+    # axis-sharing pair gets (1, 2) and (2, 1), a third orientation (3, 1).
+    pair = sorted(present)
+    if len(present) == 3:
+        pair = [1, 2] if {1, 2} <= present else [3, 4]
+    palette = {o: (3, 1) for o in present}
+    palette.update(zip(pair, ((1, 2), (2, 1))))
+    doms = dominating_rays(rays, range(len(rays)))
+    colors = tuple(
+        palette[r.orientation][0 if i in doms else 1] for i, r in enumerate(rays)
     )
-    return color_segments(seg_instance)
+    return Coloring(colors, max(2, len(present)))
 
 
 def clip_rays_to_box(rays: Sequence[Ray]) -> Tuple[List[Segment], tuple]:

@@ -148,8 +148,7 @@ def render_svg(instance: Instance, coloring: Optional[Coloring] = None) -> str:
         for p in instance.points:
             canvas.cross(p[0], p[1], width * 2, width / 2)
     else:
-        c_max = compute_cmax(list(instance.objects))
-        triangles = _octant_triangles(instance, c_max)
+        triangles = _octant_triangles(instance) if instance.m else []
         width = _stroke(triangles, lambda t: (t.a, t.b, t.s))
         for i, t in enumerate(triangles):
             canvas.polygon(
@@ -174,9 +173,10 @@ def render_svg(instance: Instance, coloring: Optional[Coloring] = None) -> str:
     return "\n".join([header, *canvas.parts, "</svg>"]) + "\n"
 
 
-def _octant_triangles(instance: Instance, c_max: Fraction):
+def _octant_triangles(instance: Instance):
     # Projection of every octant (not just nondominated ones): c_max majorizes
     # every pairwise c_ij, so all apexes sit at or below the plane.
+    c_max = compute_cmax(list(instance.objects))
     return [PlaneTriangle(o.apex[0], o.apex[1], c_max - o.apex[2])
             for o in instance.objects]
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -151,8 +152,9 @@ def test_type1_two_coloring_proper():
 
 
 def test_type3_vertical_pair_rotation():
-    # orientations {2,3,4}: the axis-sharing pair is vertical, so the module
-    # rotates; the result must still be proper with three colors.
+    # orientations {2,3,4}: the axis-sharing pair is the vertical {3,4}, so
+    # up and down rays take colors 1 and 2 and the left rays' dominating rays
+    # take 3; the result must still be proper with three colors.
     rays = [
         Ray(3, (F(0), F(0))),
         Ray(4, (F(0), F(5))),
@@ -176,6 +178,37 @@ def test_type_counts_cap_colors():
         col = color_rays(inst)
         assert len(col.used_colors()) <= max(t, 2)
         assert check_proper(inst, col).proper
+
+
+def _frozen_ray_instances():
+    """Seeded gen_random rays (mostly 3 or 4 orientations), then wide
+    fractional rays restricted to every kind of orientation subset."""
+    for n in (4, 6, 9, 12, 20, 30):
+        for seed in range(5):
+            yield gen_random(ObjectClass.RAYS, n, seed)
+    rng = random.Random(2411)
+    subsets = [(1,), (3,), (4,), (1, 2), (3, 4), (1, 3), (2, 4),
+               (1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4), (1, 2, 3, 4)]
+    for subset in subsets:
+        for _ in range(3):
+            rays = [
+                Ray(rng.choice(subset),
+                    tuple(F(rng.randint(-90, 90), rng.choice((1, 2, 3, 5, 6)))
+                          for _ in range(2)))
+                for _ in range(rng.randint(1, 16))
+            ]
+            yield make_instance(ObjectClass.RAYS, rays)
+
+
+def test_ray_colorings_frozen():
+    # Colors and kappa of every instance above, pinned by one digest so that
+    # a rewrite of color_rays keeps every output.
+    text = "|".join(
+        f"{col.kappa}:{''.join(map(str, col.colors))}"
+        for col in map(color_rays, _frozen_ray_instances())
+    )
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest[:16] == "41a71e31bbbc25df"
 
 
 def test_empty_ray_instance_rejected():

@@ -304,6 +304,22 @@ def test_render_byte_identical():
     assert render_svg(inst2) == render_svg(inst2)
 
 
+def test_render_empty_octant_document(tmp_path, capsys):
+    # No objects means no plane to project onto: draw the target points only,
+    # as for the other classes, instead of failing on an empty c_max.
+    inst, svg_path = tmp_path / "empty.json", tmp_path / "empty.svg"
+    inst.write_text('{"class": "octants", "objects": [], "points": [[1, 2, 3]]}')
+    code, _, _ = run(capsys, "render", str(inst), "--out", str(svg_path))
+    assert code == 0
+    svg = svg_path.read_text()
+    assert svg.count("<polygon") == 0
+    assert svg.count('class="cross"') == 1
+    inst.write_text('{"class": "octants", "objects": []}')
+    code, _, _ = run(capsys, "render", str(inst), "--out", str(svg_path))
+    assert code == 0
+    assert svg_path.read_text().count("<polygon") == 0
+
+
 def test_render_rejects_wrong_coloring_length(tmp_path, capsys):
     inst = tmp_path / "pair.json"
     col = tmp_path / "col.json"

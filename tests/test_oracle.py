@@ -8,6 +8,7 @@ from geomextract import (
     ObjectClass,
     check_cover,
     check_proper,
+    color_instance,
     depth,
     enumerate_hyperedges,
     enumerate_hyperedges_dense,
@@ -194,6 +195,32 @@ def test_coverer_masks_match_depth(cls, data):
 
     assert oracle.coverer_masks(inst) == [mask_of(p, indices) for p in points]
     assert oracle.coverer_masks(inst, chosen) == [mask_of(p, chosen) for p in points]
+
+
+# Rays draw their orientations from a random nonempty subset first, so one-,
+# two- and three-orientation instances are as common as four-orientation ones.
+_ray_lists = st.lists(
+    st.sampled_from([1, 2, 3, 4]), min_size=1, max_size=4, unique=True
+).flatmap(
+    lambda kinds: st.lists(
+        st.builds(Ray, st.sampled_from(kinds), st.tuples(_wide, _wide)),
+        min_size=1, max_size=12,
+    )
+)
+
+
+@pytest.mark.parametrize("cls", list(ObjectClass), ids=lambda c: c.value)
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_every_colorer_is_proper(cls, data):
+    if cls is ObjectClass.RAYS:
+        objects = data.draw(_ray_lists)
+    else:
+        objects = data.draw(st.lists(_OBJECTS[cls], min_size=1, max_size=12))
+    inst = make_instance(cls, objects)
+    col = color_instance(inst)
+    assert set(col.colors) <= set(range(1, col.kappa + 1))
+    assert check_proper(inst, col).proper
 
 
 def test_size_cap():
