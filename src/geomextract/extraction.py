@@ -296,7 +296,7 @@ def exact_chromatic(
         raise SizeCapError(f"{instance.m} objects exceed cap {size_cap}")
     if instance.m == 0:
         return 1
-    edges = oracle.enumerate_hyperedges(instance).sorted_edges()
+    edges = oracle.enumerate_hyperedges(instance, size_cap=size_cap).sorted_edges()
     if not edges:
         return 1
     for k in range(2, instance.m + 1):

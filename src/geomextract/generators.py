@@ -294,7 +294,8 @@ def gen_random(cls: ObjectClass, n: int, seed: int) -> Instance:
     The small range makes coordinate collisions (shared lines, touching
     endpoints) common on purpose. Target points are one oracle witness per
     hyperedge of size >= 2, so the extraction precondition holds by
-    construction (the oracle re-checks each witness with core.depth).
+    construction (the oracle re-checks each witness against every object
+    with core's membership test, in its integer frame).
     Weights are random positive rationals.
     """
     if n < 1:

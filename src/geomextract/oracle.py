@@ -13,8 +13,12 @@ candidate per distinct mask (an event, a gap midpoint, or a sentinel past
 the extreme event on an open side) and so witnesses every cell;
 coverer_masks serves extract, check_cover and the exact covers, and the
 octant ranks come from the same table. That claim is not assumed: it is
-tested against dense sampling and core.depth, and every returned grid
-witness is re-checked with core.depth.
+tested against dense sampling and core.depth. The grid is walked on
+integers: each instance is scaled once by L, twice the lcm of its
+coordinates' denominators, so events are even integers and gap midpoints
+exact integers. Every grid witness is re-checked with core's membership
+test for the class (core.MEMBERSHIP) on the scaled objects, independently
+of the masks, and handed back as Fraction(W, L).
 
 Plane triangles (octant projections) have a slanted side and are
 enumerated separately, by horizontal slices.
@@ -38,6 +42,7 @@ from .core import (
     Coloring,
     Instance,
     Interval,
+    Octant,
     PlaneTriangle,
     Ray,
     Segment,
@@ -124,21 +129,23 @@ def _axis_table(extents: Sequence[tuple]) -> tuple:
     return events, slot, list(itertools.accumulate(toggles[:-1], operator.xor))
 
 
-def _axis_candidates(extents: Sequence[tuple]) -> tuple:
+def _axis_candidates(extents: Sequence[tuple], unit: int) -> tuple:
     """Candidate coordinates on one axis and the objects covering each.
 
-    Returns parallel lists (values, masks), ascending, keeping only the
-    first slot of each distinct nonzero mask: any later slot with the same
-    mask meets every other axis in cells already visited. A gap's witness
-    is the midpoint of its ends; the outer ends give min - 1 and max + 1/2.
+    The extents are even integers in a frame of the given unit. Returns
+    parallel lists (values, masks), ascending, keeping only the first slot
+    of each distinct nonzero mask: any later slot with the same mask meets
+    every other axis in cells already visited. A gap's witness is the
+    midpoint of its ends, an integer since the events are even; the outer
+    ends give min - unit and max + unit/2.
     """
     events, _, masks = _axis_table(extents)
-    ends = [events[0] - 2, *events, events[-1] + 1]
+    ends = [events[0] - 2 * unit, *events, events[-1] + unit]
     first: dict = {}
     for s, mask in enumerate(masks):
         if mask and mask not in first:
             k = s // 2
-            first[mask] = ends[k + 1] if s % 2 else Fraction(ends[k] + ends[k + 1], 2)
+            first[mask] = ends[k + 1] if s % 2 else (ends[k] + ends[k + 1]) // 2
     return list(first.values()), list(first)
 
 
@@ -167,10 +174,36 @@ def coverer_masks(instance: Instance, chosen: Optional[Sequence[int]] = None) ->
     return out
 
 
-def _grid_edges(objects: Sequence) -> dict:
-    """First witness of every covering set of size >= 2, x-major order."""
+def _frame_unit(objects: Sequence) -> int:
+    """L = 2 * lcm of the denominators of every finite extent end."""
+    return 2 * math.lcm(*{
+        v.denominator for o in objects for ext in _box(o) for v in ext if v is not None
+    })
+
+
+def _scaled(obj, unit: int):
+    """obj with every coordinate v replaced by the integer v * unit."""
+    def s(v):
+        return v.numerator * (unit // v.denominator)
+
+    if isinstance(obj, Interval):
+        return Interval(s(obj.a), s(obj.b))
+    if isinstance(obj, Segment):
+        return Segment(obj.axis, s(obj.line), s(obj.lo), s(obj.hi))
+    if isinstance(obj, Ray):
+        return Ray(obj.orientation, tuple(map(s, obj.apex)))
+    return Octant(tuple(map(s, obj.apex)))
+
+
+def _grid_edges(objects: Sequence, unit: int) -> dict:
+    """First witness of every covering set of size >= 2, x-major order.
+
+    The objects are scaled into the frame of the unit; so are the witnesses.
+    """
     boxes = [_box(o) for o in objects]
-    axes = [_axis_candidates([b[d] for b in boxes]) for d in range(len(boxes[0]))]
+    axes = [
+        _axis_candidates([b[d] for b in boxes], unit) for d in range(len(boxes[0]))
+    ]
     *outer, (last_vals, last_masks) = axes
     prefixes = [(-1, ())]  # (covering mask so far, point so far)
     for vals, masks in outer:
@@ -241,13 +274,19 @@ def enumerate_hyperedges(
         raise SizeCapError(f"{instance.m} objects exceed cap {size_cap}")
     if instance.m == 0:
         return HyperedgeSet({})
-    edges = _grid_edges(instance.objects)
-    # Depth consistency: each witness realizes exactly its edge.
-    for edge, witness in edges.items():
-        if core.depth(instance, witness)[1] != edge:
+    unit = _frame_unit(instance.objects)
+    scaled = [_scaled(o, unit) for o in instance.objects]
+    inside = core.MEMBERSHIP[instance.cls]
+    edges: dict = {}
+    for edge, w in _grid_edges(scaled, unit).items():
+        witness = tuple(Fraction(c, unit) for c in w)
+        # Depth consistency: each witness realizes exactly its edge under
+        # core's membership test, which knows nothing of the grid's masks.
+        if frozenset([i for i, o in enumerate(scaled) if inside(o, w)]) != edge:
             raise AlgorithmInvariantError(
-                "oracle witness disagrees with core.depth", witness=witness
+                "oracle witness disagrees with core membership", witness=witness
             )
+        edges[edge] = witness
     return HyperedgeSet(edges)
 
 

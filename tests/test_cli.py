@@ -154,6 +154,20 @@ def test_explicit_zero_caps_are_honored(tmp_path, capsys):
     assert "chromatic skipped" in report["result"]["notes"]
 
 
+def test_bounds_chromatic_cap_reaches_the_oracle(tmp_path, capsys):
+    # 65 intervals: over the oracle's default cap of 60, under both caps given
+    p = tmp_path / "chain.json"
+    p.write_text(json.dumps({
+        "class": "intervals",
+        "objects": [{"a": i, "b": i + 2} for i in range(65)],
+        "points": [[i + 1] for i in range(0, 64, 3)],
+    }))
+    code, report, _ = run(capsys, "bounds", str(p), "--size-cap", "65",
+                          "--chromatic-cap", "70")
+    assert code == 0
+    assert report["result"]["chromatic"] == 2
+
+
 def test_negative_caps_exit_2(tmp_path, capsys):
     p = tmp_path / "pair.json"
     run(capsys, "gen", "--kind", "interval-pair", "--out", str(p))

@@ -185,13 +185,23 @@ def test_random_rejects_nonpositive_n():
 
 
 def test_gen_random_checks_each_target_depth_once(monkeypatch):
+    from collections import Counter
+
     from geomextract import core
 
-    calls = []
-    real_depth = core.depth
-    monkeypatch.setattr(core, "depth", lambda inst, p: calls.append(p) or real_depth(inst, p))
+    calls = Counter()
+    inside = core.MEMBERSHIP[ObjectClass.OCTANTS]
+
+    def counting(obj, p):
+        calls[p] += 1
+        return inside(obj, p)
+
+    monkeypatch.setitem(core.MEMBERSHIP, ObjectClass.OCTANTS, counting)
     inst = gen_random(ObjectClass.OCTANTS, 30, 0)
     monkeypatch.undo()
     assert len(inst.points) == 169
-    assert sorted(calls) == sorted(inst.points)  # the oracle's witness re-check
+    # The oracle's witness re-check tests each target against each of the
+    # 30 objects once, in the integer frame: integer coordinates scale by 2.
+    assert set(calls.values()) == {30}
+    assert sorted(tuple(F(c, 2) for c in p) for p in calls) == sorted(inst.points)
     assert all(depth(inst, p)[0] >= 2 for p in inst.points)

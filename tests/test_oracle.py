@@ -1,4 +1,10 @@
+import hashlib
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -290,9 +296,11 @@ def test_ray_lower_sentinel_witness():
 
 
 def test_witness_disagreeing_with_depth_raises_with_witness(monkeypatch):
+    # The re-check runs core's membership test for the class, the one
+    # core.depth applies, on the objects scaled into the integer frame.
     inst = gen_interval_pair()
     witness = enumerate_hyperedges(inst).edges[frozenset({0, 1})]
-    monkeypatch.setattr(oracle.core, "depth", lambda instance, p: (0, frozenset()))
+    monkeypatch.setitem(oracle.core.MEMBERSHIP, ObjectClass.INTERVALS, lambda o, p: False)
     with pytest.raises(AlgorithmInvariantError) as err:
         enumerate_hyperedges(inst)
     assert err.value.witness == witness
@@ -367,3 +375,80 @@ def test_random_instance_digests_pin_witnesses():
             for seed in range(5)
         ]
         assert got == _RANDOM_DIGESTS[cls.value], cls
+
+
+_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+def _frame_instance(k):
+    """Seeded instance k of class k % 4; every third has prime denominators."""
+    rng = random.Random(k)
+    cls = list(ObjectClass)[k % 4]
+    n = rng.randint(2, 10)
+    dens = rng.sample(_PRIMES, n) if k % 3 == 0 else [1] * n
+
+    def coords(d, count):  # half on a small integer range, so ends collide
+        return [F(rng.randint(-2, 6)) if rng.random() < 0.5
+                else F(rng.randint(-2 * d, 6 * d), d) for _ in range(count)]
+
+    objects = []
+    for d in dens:
+        if cls is ObjectClass.INTERVALS:
+            a, b = sorted(coords(d, 2))
+            objects.append(Interval(a, b + F(1, d)))
+        elif cls is ObjectClass.SEGMENTS:
+            line, lo, hi = coords(d, 3)
+            lo, hi = sorted((lo, hi))
+            axis = rng.choice((Axis.HORIZONTAL, Axis.VERTICAL))
+            objects.append(Segment(axis, line, lo, hi + F(1, d)))
+        elif cls is ObjectClass.RAYS:
+            objects.append(Ray(rng.randint(1, 4), tuple(coords(d, 2))))
+        else:
+            objects.append(Octant(tuple(coords(d, 3))))
+    return make_instance(cls, objects)
+
+
+# sha256 over every (edge, witness) that enumerate_hyperedges returns for
+# _frame_instance(k), k < 400, in insertion order. Computed with the grid
+# walked on Fractions, so it pins the integer frame to the same output.
+_FRAME_DIGEST = "d7b1a273c3aa8577d4b481ecc199cd2b8fad91c56e759ed1b843f0253232fd3c"
+
+
+def _frame_digest(check):
+    h = hashlib.sha256()
+    for k in range(400):
+        inst = _frame_instance(k)
+        for edge, w in enumerate_hyperedges(inst).edges.items():
+            check(inst, edge, w)
+            h.update(repr((sorted(edge), [str(v) for v in w])).encode())
+        h.update(b";")
+    return h.hexdigest()
+
+
+def test_integer_frame_keeps_edges_witnesses_and_order():
+    def check(inst, edge, w):
+        assert all(type(v) is F for v in w), w
+        assert depth(inst, w)[1] == edge, w
+
+    assert _frame_digest(check) == _FRAME_DIGEST
+
+
+def test_witness_recheck_survives_python_O():
+    script = (
+        "import sys\n"
+        "from geomextract import ObjectClass, core, enumerate_hyperedges, gen_interval_pair\n"
+        "inst = gen_interval_pair()\n"
+        "witness = enumerate_hyperedges(inst).edges[frozenset({0, 1})]\n"
+        "core.MEMBERSHIP[ObjectClass.INTERVALS] = lambda o, p: False\n"
+        "try:\n"
+        "    enumerate_hyperedges(inst)\n"
+        "except core.AlgorithmInvariantError as err:\n"
+        "    print(sys.flags.optimize, err.witness == witness)\n"
+    )
+    src = str(Path(oracle.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "True"]
