@@ -31,7 +31,7 @@ from .core import (
     Ray,
     Segment,
 )
-from .intervals import find_monochromatic, two_color
+from .intervals import first_monochromatic, rank_endpoints, two_color
 
 
 @dataclass(frozen=True)
@@ -78,9 +78,11 @@ def color_segments(instance: Instance) -> Coloring:
         raise ClassMismatchError(f"expected segments, got {instance.cls.value}")
     colors = [0] * instance.m
     for group in line_groups(instance.objects):
-        pairs = [(instance.objects[i].lo, instance.objects[i].hi) for i in group.members]
-        sub = two_color(pairs)
-        bad = find_monochromatic(pairs, sub)
+        values, ranked = rank_endpoints(
+            [(instance.objects[i].lo, instance.objects[i].hi) for i in group.members]
+        )
+        sub = two_color(ranked)
+        bad = first_monochromatic(values, ranked, sub)
         if bad is not None:
             x, local = bad
             point = (x, group.line) if group.axis is Axis.HORIZONTAL else (group.line, x)

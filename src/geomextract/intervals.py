@@ -12,8 +12,9 @@ Cost per component of n intervals: O(n log n). The chain is one sort plus
 a heap walk, and each non-key finds its containment case by bisection over
 the chain. The finished coloring is checked by an endpoint sweep
 (find_monochromatic, also O(n log n)) before color_intervals returns it.
-Both replace the endpoints by their integer ranks first: ranks keep every
-comparison between endpoints, and compare far faster than Fractions.
+color_intervals replaces the endpoints by their integer ranks once, and the
+colorer and the sweep both read them: ranks keep every comparison between
+endpoints, and compare and hash far faster than Fractions.
 """
 
 from __future__ import annotations
@@ -190,7 +191,7 @@ def _color_component(pairs: Sequence[Pair], chain: KeyChain, colors: dict) -> No
         colors[i] = 3 - colors[keys[lo]]
 
 
-def _ranks(pairs: Sequence[Pair]) -> Tuple[List[Fraction], List[Tuple[int, int]]]:
+def rank_endpoints(pairs: Sequence[Pair]) -> Tuple[List[Fraction], List[Tuple[int, int]]]:
     """The distinct endpoints in order, and each pair as their ranks."""
     values = sorted({x for pair in pairs for x in pair})
     rank = {x: r for r, x in enumerate(values)}
@@ -198,12 +199,15 @@ def _ranks(pairs: Sequence[Pair]) -> Tuple[List[Fraction], List[Tuple[int, int]]
 
 
 def two_color(pairs: Sequence[Pair]) -> List[int]:
-    """Colors in {1, 2} for a family of (a, b) intervals, a < b."""
-    _, ranked = _ranks(pairs)
+    """Colors in {1, 2} for a family of (a, b) intervals, a < b.
+
+    Only compares endpoints, so the pairs may be their ranks; the colorers
+    pass the ranks from rank_endpoints.
+    """
     colors: dict = {}
-    for component in connected_components(ranked):
-        chain = build_key_chain(ranked, component)
-        _color_component(ranked, chain, colors)
+    for component in connected_components(pairs):
+        chain = build_key_chain(pairs, component)
+        _color_component(pairs, chain, colors)
     return [colors[i] for i in range(len(pairs))]
 
 
@@ -213,13 +217,22 @@ def find_monochromatic(
     """A point of depth >= 2 whose covering intervals share one color.
 
     Returns (x, covering indices) for the leftmost such point, or None when
-    the coloring of the closed intervals is proper. Sweeps the distinct
-    endpoints in order with per-color counts of the active intervals: each
-    endpoint is checked after the intervals starting there are added, and
-    the open gap to its right after those ending there are removed (the
-    gap's witness is its midpoint).
+    the coloring of the closed intervals is proper.
     """
-    values, ranked = _ranks(pairs)
+    return first_monochromatic(*rank_endpoints(pairs), colors)
+
+
+def first_monochromatic(
+    values: Sequence[Fraction], ranked: Sequence[Tuple[int, int]], colors: Sequence[int]
+) -> Optional[Tuple[Fraction, Tuple[int, ...]]]:
+    """find_monochromatic on intervals given as ranks into values, the
+    sorted distinct endpoints (as rank_endpoints returns them).
+
+    Sweeps the endpoints in order with per-color counts of the active
+    intervals: each endpoint is checked after the intervals starting there
+    are added, and the open gap to its right after those ending there are
+    removed (the gap's witness is its midpoint).
+    """
     starting: List[list] = [[] for _ in values]  # colors starting at rank r
     ending: List[list] = [[] for _ in values]
     for c, (a, b) in zip(colors, ranked):
@@ -232,20 +245,20 @@ def find_monochromatic(
             count[c] = count.get(c, 0) + 1
         active += len(starting[r])
         if active >= 2 and len(count) == 1:
-            return x, _covering(pairs, x)
+            return x, _covering(ranked, r, r)
         for c in ending[r]:
             count[c] -= 1
             if not count[c]:
                 del count[c]
         active -= len(ending[r])
         if active >= 2 and len(count) == 1:
-            mid = (x + values[r + 1]) / 2
-            return mid, _covering(pairs, mid)
+            return (x + values[r + 1]) / 2, _covering(ranked, r, r + 1)
     return None
 
 
-def _covering(pairs: Sequence[Pair], x: Fraction) -> Tuple[int, ...]:
-    return tuple(i for i, (a, b) in enumerate(pairs) if a <= x <= b)
+def _covering(ranked: Sequence[Tuple[int, int]], lo: int, hi: int) -> Tuple[int, ...]:
+    """The intervals containing every endpoint rank from lo to hi."""
+    return tuple(i for i, (a, b) in enumerate(ranked) if a <= lo and hi <= b)
 
 
 def color_intervals(instance: Instance) -> Coloring:
@@ -259,9 +272,9 @@ def color_intervals(instance: Instance) -> Coloring:
         raise ClassMismatchError(f"expected intervals, got {instance.cls.value}")
     if instance.m == 0:
         return Coloring((), 2)
-    pairs = [(o.a, o.b) for o in instance.objects]
-    colors = two_color(pairs)
-    bad = find_monochromatic(pairs, colors)
+    values, ranked = rank_endpoints([(o.a, o.b) for o in instance.objects])
+    colors = two_color(ranked)
+    bad = first_monochromatic(values, ranked, colors)
     if bad is not None:
         x, covering = bad
         raise AlgorithmInvariantError(

@@ -102,17 +102,18 @@ def compute_domination(octants: Sequence[Octant]) -> DominationDAG:
     return DominationDAG(nondominated, dominator_of)
 
 
-def compute_cmax(octants: Sequence[Octant]) -> Fraction:
+def compute_cmax(octants: Sequence[Octant], unit: int = 1) -> Fraction:
     """Largest pairwise c_ij = max(a_i,a_j) + max(b_i,b_j) + max(c_i,c_j).
 
     A single octant degenerates to a+b+c+1 so its triangle has full
-    dimension.
+    dimension. Apexes given as integers v * unit (render's frame) give
+    c_max * unit, the 1 becoming unit.
     """
     if not octants:
         raise ValueError("no octants")
     if len(octants) == 1:
         a, b, c = octants[0].apex
-        return a + b + c + 1
+        return a + b + c + unit
     best = None
     for i in range(len(octants)):
         ai, bi, ci = octants[i].apex

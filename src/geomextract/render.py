@@ -1,94 +1,205 @@
-"""Deterministic SVG figures of instances.
+"""Deterministic SVG figures of instances, drawn on one integer frame.
 
-Geometry stays rational until the final text emission, where coordinates are
-printed with exactly six decimal places by integer arithmetic; the decimal
-text is display-only and never read back. Identical inputs produce
-byte-identical output.
+Each document is scaled once onto an integer frame: a unit D that is a
+common multiple of the denominators of every drawn coordinate, times a
+factor that makes the finest derived size whole too (a twelfth of the bar
+pitch for intervals, half the stroke width for the other classes). A value
+v is drawn as the integer v * D, so the drawing loops add, negate and take
+bounds on ints only, with no Fraction arithmetic. fmt6 prints n / D with
+exactly six decimals, rounded half away from zero, by integer division; the
+viewBox header goes through the same formatter. The decimal text depends
+only on the value n / D, never on the choice of D; it is display-only and
+never read back, and identical inputs produce byte-identical output. A
+document without objects draws only its target points.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional
+from functools import partial
+from math import lcm
+from typing import List, Optional, Sequence
 
 from .axis2d import clip_rays_to_box
-from .core import Axis, Coloring, Instance, ObjectClass, PlaneTriangle
+from .core import Axis, Coloring, Instance, ObjectClass, Octant
 from .octants import compute_cmax
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
 NEUTRAL = "#444444"
+# Unit direction along which each ray orientation runs.
+_DIRECTION = {1: (1, 0), 2: (-1, 0), 3: (0, 1), 4: (0, -1)}
 
 
-def fmt6(x: Fraction) -> str:
-    """Fixed six-decimal rendering, round half away from zero."""
-    sign = "-" if x < 0 else ""
-    y = -x if x < 0 else x
-    n = int((y * 2_000_000 + 1) // 2)
-    q, r = divmod(n, 1_000_000)
-    return f"{sign}{q}.{r:06d}"
+def fmt6(n: int, d: int) -> str:
+    """n / d (d >= 1) with six decimals, rounded half away from zero."""
+    q, r = divmod((2_000_000 * abs(n) + d) // (2 * d), 1_000_000)
+    return f"{'-' if n < 0 else ''}{q}.{r:06d}"
 
 
 class _Canvas:
-    def __init__(self):
-        self.min_x = self.max_x = self.min_y = self.max_y = None
+    """SVG elements on the frame n / unit, with y pointing up."""
+
+    def __init__(self, unit: int):
+        self.unit = unit
+        self.f = partial(fmt6, d=unit)
+        self.xs: List[int] = []
+        self.ys: List[int] = []
         self.parts: List[str] = []
 
-    def bump(self, x: Fraction, y: Fraction) -> None:
-        if self.min_x is None:
-            self.min_x = self.max_x = x
-            self.min_y = self.max_y = y
-        else:
-            self.min_x, self.max_x = min(self.min_x, x), max(self.max_x, x)
-            self.min_y, self.max_y = min(self.min_y, y), max(self.max_y, y)
-
-    def line(self, x1, y1, x2, y2, color: str, width: Fraction, cls: str) -> None:
-        self.bump(x1, y1)
-        self.bump(x2, y2)
+    def line(self, x1, y1, x2, y2, color: str, width: int, cls: str) -> None:
+        self.xs += (x1, x2)
+        self.ys += (y1, y2)
+        f = self.f
         self.parts.append(
-            f'<line class="{cls}" x1="{fmt6(x1)}" y1="{fmt6(-y1)}" '
-            f'x2="{fmt6(x2)}" y2="{fmt6(-y2)}" stroke="{color}" '
-            f'stroke-width="{fmt6(width)}" stroke-linecap="round"/>'
+            f'<line class="{cls}" x1="{f(x1)}" y1="{f(-y1)}" '
+            f'x2="{f(x2)}" y2="{f(-y2)}" stroke="{color}" '
+            f'stroke-width="{f(width)}" stroke-linecap="round"/>'
         )
 
-    def polygon(self, pts, color: str, width: Fraction, cls: str) -> None:
+    def polygon(self, pts, color: str, width: int, cls: str) -> None:
+        f = self.f
         for x, y in pts:
-            self.bump(x, y)
-        coords = " ".join(f"{fmt6(x)},{fmt6(-y)}" for x, y in pts)
+            self.xs.append(x)
+            self.ys.append(y)
+        coords = " ".join(f"{f(x)},{f(-y)}" for x, y in pts)
         self.parts.append(
             f'<polygon class="{cls}" points="{coords}" fill="none" '
-            f'stroke="{color}" stroke-width="{fmt6(width)}"/>'
+            f'stroke="{color}" stroke-width="{f(width)}"/>'
         )
 
     def rect(self, x, y, w, h, color: str, cls: str) -> None:
-        self.bump(x, y)
-        self.bump(x + w, y + h)
+        self.xs += (x, x + w)
+        self.ys += (y, y + h)
+        f = self.f
         self.parts.append(
-            f'<rect class="{cls}" x="{fmt6(x)}" y="{fmt6(-(y + h))}" '
-            f'width="{fmt6(w)}" height="{fmt6(h)}" fill="{color}"/>'
+            f'<rect class="{cls}" x="{f(x)}" y="{f(-(y + h))}" '
+            f'width="{f(w)}" height="{f(h)}" fill="{color}"/>'
         )
 
-    def cross(self, x, y, arm: Fraction, width: Fraction) -> None:
-        self.bump(x - arm, y - arm)
-        self.bump(x + arm, y + arm)
+    def cross(self, x, y, arm: int, width: int) -> None:
+        self.xs += (x - arm, x + arm)
+        self.ys += (y - arm, y + arm)
+        f = self.f
         self.parts.append(
-            f'<path class="cross" d="M {fmt6(x - arm)} {fmt6(-y)} '
-            f'L {fmt6(x + arm)} {fmt6(-y)} M {fmt6(x)} {fmt6(-(y - arm))} '
-            f'L {fmt6(x)} {fmt6(-(y + arm))}" stroke="#000000" '
-            f'stroke-width="{fmt6(width)}" fill="none"/>'
+            f'<path class="cross" d="M {f(x - arm)} {f(-y)} '
+            f'L {f(x + arm)} {f(-y)} M {f(x)} {f(-(y - arm))} '
+            f'L {f(x)} {f(-(y + arm))}" stroke="#000000" '
+            f'stroke-width="{f(width)}" fill="none"/>'
         )
 
-    def arrow(self, x, y, dx, dy, size: Fraction) -> None:
-        """Open-end marker: a V pointing along (dx, dy), unit direction."""
-        tip_x, tip_y = x, y
-        base_x = tip_x - dx * size
-        base_y = tip_y - dy * size
-        off_x, off_y = -dy * size / 2, dx * size / 2
+    def arrow(self, x, y, dx: int, dy: int, size: int) -> None:
+        """Open-end marker: a V with its tip at (x, y) pointing along the
+        unit direction (dx, dy); size is a multiple of 4. It does not widen
+        the viewBox."""
+        base_x, base_y = x - dx * size, y - dy * size
+        off_x, off_y = -dy * size // 2, dx * size // 2
+        f = self.f
         self.parts.append(
-            f'<path class="arrow" d="M {fmt6(base_x + off_x)} '
-            f'{fmt6(-(base_y + off_y))} L {fmt6(tip_x)} {fmt6(-tip_y)} '
-            f'L {fmt6(base_x - off_x)} {fmt6(-(base_y - off_y))}" '
-            f'stroke="#888888" stroke-width="{fmt6(size / 4)}" fill="none"/>'
+            f'<path class="arrow" d="M {f(base_x + off_x)} '
+            f'{f(-(base_y + off_y))} L {f(x)} {f(-y)} '
+            f'L {f(base_x - off_x)} {f(-(base_y - off_y))}" '
+            f'stroke="#888888" stroke-width="{f(size // 4)}" fill="none"/>'
         )
+
+    def svg(self) -> str:
+        """The document: a viewBox padded by a tenth of the larger extent
+        (at least 1) around everything drawn, then the elements."""
+        lo_x, hi_x = min(self.xs, default=0), max(self.xs, default=0)
+        lo_y, hi_y = min(self.ys, default=0), max(self.ys, default=0)
+        # On the frame 10 * unit the padding is an integer too.
+        d = 10 * self.unit
+        pad = max(hi_x - lo_x, hi_y - lo_y, d)
+        header = (
+            '<svg xmlns="http://www.w3.org/2000/svg" '
+            f'viewBox="{fmt6(10 * lo_x - pad, d)} {fmt6(-(10 * hi_y + pad), d)} '
+            f'{fmt6(10 * (hi_x - lo_x) + 2 * pad, d)} '
+            f'{fmt6(10 * (hi_y - lo_y) + 2 * pad, d)}">'
+        )
+        return "\n".join([header, *self.parts, "</svg>"]) + "\n"
+
+
+def _frame(values: Sequence[Fraction], factor: int) -> tuple:
+    """(unit, ints): the values as integers on the unit factor * lcm of
+    their denominators. fmt6 reads only the value n / unit, so any common
+    multiple of the denominators draws the same text; the factor makes the
+    document's finest size an integer as well."""
+    unit = factor * lcm(*{v.denominator for v in values})
+    return unit, [v.numerator * (unit // v.denominator) for v in values]
+
+
+def _half_width(ints: Sequence[int], unit: int) -> int:
+    """Half the stroke width on a frame of factor 240: the span of the
+    objects' coordinates (at least 1) over 240, or 1/20 when there are
+    none."""
+    if not ints:
+        return unit // 20
+    return max(max(ints) - min(ints), unit) // 240
+
+
+def _crosses(canvas: _Canvas, ints: Sequence[int], half: int) -> None:
+    """Target points of a 2D view, given flat as x, y pairs."""
+    for x, y in zip(ints[0::2], ints[1::2]):
+        canvas.cross(x, y, 4 * half, half)
+
+
+def _draw_intervals(instance: Instance, colors: List[str]) -> _Canvas:
+    # Bars are spaced row = span / m / 4 apart (span at least 1); bars,
+    # crosses and strokes are whole ticks of row / 12, which the frame
+    # factor 48 m makes an integer.
+    m, factor = instance.m, 48 * max(instance.m, 1)
+    values = [v for o in instance.objects for v in (o.a, o.b)]
+    values += [p[0] for p in instance.points]
+    unit, ints = _frame(values, factor)
+    span = max(max(ints[:2 * m]) - min(ints[:2 * m]), unit) if m else unit
+    tick = span // factor
+    canvas = _Canvas(unit)
+    for i in range(m):
+        a, b = ints[2 * i], ints[2 * i + 1]
+        canvas.rect(a, 12 * tick * (i + 1) - 3 * tick, b - a, 6 * tick, colors[i], "obj")
+    for x in ints[2 * m:]:
+        canvas.cross(x, 0, 6 * tick, tick)
+    return canvas
+
+
+def _draw_axis2d(segments, points, colors: List[str], orientations=()) -> _Canvas:
+    """Segments, or clipped rays with an arrow at their open end."""
+    n = 3 * len(segments)
+    values = [v for s in segments for v in (s.lo, s.hi, s.line)]
+    values += [v for p in points for v in p]
+    unit, ints = _frame(values, 240)
+    half = _half_width(ints[:n], unit)
+    canvas = _Canvas(unit)
+    for i, s in enumerate(segments):
+        lo, hi, line = ints[3 * i:3 * i + 3]
+        if s.axis is Axis.HORIZONTAL:
+            start, end = (lo, line), (hi, line)
+        else:
+            start, end = (line, lo), (line, hi)
+        canvas.line(*start, *end, colors[i], 2 * half, "obj")
+        if orientations:
+            o = orientations[i]
+            canvas.arrow(*(end if o in (1, 3) else start), *_DIRECTION[o], 8 * half)
+    _crosses(canvas, ints[n:], half)
+    return canvas
+
+
+def _draw_octants(instance: Instance, colors: List[str]) -> _Canvas:
+    # c_max majorizes every pairwise c_ij, so every apex, dominated or not,
+    # sits at or below the plane x + y + z = c_max. Octant i is drawn as the
+    # triangle {u >= a_i, v >= b_i, u + v <= s_i} with s_i = c_max - c_i.
+    n = 3 * instance.m
+    values = [v for o in instance.objects for v in o.apex]
+    values += [v for p in instance.points for v in p[:2]]
+    unit, ints = _frame(values, 240)
+    apexes = list(zip(ints[0:n:3], ints[1:n:3], ints[2:n:3]))
+    c_max = compute_cmax([Octant(apex) for apex in apexes], unit) if apexes else 0
+    triangles = [(a, b, c_max - c) for a, b, c in apexes]
+    half = _half_width([v for t in triangles for v in t], unit)
+    canvas = _Canvas(unit)
+    for i, (a, b, s) in enumerate(triangles):
+        canvas.polygon([(a, b), (s - b, b), (a, s - a)], colors[i], 2 * half, "obj")
+    _crosses(canvas, ints[n:], half)
+    return canvas
 
 
 def _color_of(coloring: Optional[Coloring], i: int) -> str:
@@ -101,89 +212,17 @@ def render_svg(instance: Instance, coloring: Optional[Coloring] = None) -> str:
     """Render a 2D view of the instance; octants appear as plane triangles."""
     if coloring is not None and len(coloring.colors) != instance.m:
         raise ValueError("coloring is not total over the instance")
-    canvas = _Canvas()
+    colors = [_color_of(coloring, i) for i in range(instance.m)]
     cls = instance.cls
-
     if cls is ObjectClass.INTERVALS:
-        span = Fraction(1)
-        if instance.m:
-            los = [o.a for o in instance.objects]
-            his = [o.b for o in instance.objects]
-            span = max(max(his) - min(los), Fraction(1))
-        row = span / max(instance.m, 1) / 4
-        bar = row / 2
-        for i, o in enumerate(instance.objects):
-            canvas.rect(o.a, row * (i + 1) - bar / 2, o.b - o.a, bar,
-                        _color_of(coloring, i), "obj")
-        for p in instance.points:
-            canvas.cross(p[0], Fraction(0), row / 2, row / 12)
+        canvas = _draw_intervals(instance, colors)
     elif cls is ObjectClass.SEGMENTS:
-        width = _stroke(instance.objects, lambda s: (s.lo, s.hi, s.line))
-        for i, s in enumerate(instance.objects):
-            if s.axis is Axis.HORIZONTAL:
-                canvas.line(s.lo, s.line, s.hi, s.line,
-                            _color_of(coloring, i), width, "obj")
-            else:
-                canvas.line(s.line, s.lo, s.line, s.hi,
-                            _color_of(coloring, i), width, "obj")
-        for p in instance.points:
-            canvas.cross(p[0], p[1], width * 2, width / 2)
+        canvas = _draw_axis2d(instance.objects, instance.points, colors)
     elif cls is ObjectClass.RAYS:
-        segments, _ = clip_rays_to_box(list(instance.objects))
-        width = _stroke(segments, lambda s: (s.lo, s.hi, s.line))
-        arrow = width * 4
-        for i, (ray, seg) in enumerate(zip(instance.objects, segments)):
-            color = _color_of(coloring, i)
-            if seg.axis is Axis.HORIZONTAL:
-                canvas.line(seg.lo, seg.line, seg.hi, seg.line, color, width, "obj")
-            else:
-                canvas.line(seg.line, seg.lo, seg.line, seg.hi, color, width, "obj")
-            dx, dy = {1: (1, 0), 2: (-1, 0), 3: (0, 1), 4: (0, -1)}[ray.orientation]
-            tip_x = seg.hi if dx > 0 else seg.lo if dx < 0 else seg.line
-            tip_y = seg.hi if dy > 0 else seg.lo if dy < 0 else seg.line
-            if seg.axis is Axis.HORIZONTAL:
-                canvas.arrow(tip_x, seg.line, Fraction(dx), Fraction(dy), arrow)
-            else:
-                canvas.arrow(seg.line, tip_y, Fraction(dx), Fraction(dy), arrow)
-        for p in instance.points:
-            canvas.cross(p[0], p[1], width * 2, width / 2)
+        rays = instance.objects
+        segments = clip_rays_to_box(list(rays))[0] if rays else []
+        canvas = _draw_axis2d(segments, instance.points, colors,
+                              [r.orientation for r in rays])
     else:
-        triangles = _octant_triangles(instance) if instance.m else []
-        width = _stroke(triangles, lambda t: (t.a, t.b, t.s))
-        for i, t in enumerate(triangles):
-            canvas.polygon(
-                [(t.a, t.b), (t.s - t.b, t.b), (t.a, t.s - t.a)],
-                _color_of(coloring, i), width, "obj",
-            )
-        for p in instance.points:
-            canvas.cross(p[0], p[1], width * 2, width / 2)
-
-    pad = Fraction(1)
-    if canvas.min_x is not None:
-        pad = max((canvas.max_x - canvas.min_x) / 10,
-                  (canvas.max_y - canvas.min_y) / 10, Fraction(1))
-    x0 = (canvas.min_x or Fraction(0)) - pad
-    y1 = (canvas.max_y or Fraction(0)) + pad
-    w = ((canvas.max_x or Fraction(0)) - (canvas.min_x or Fraction(0))) + 2 * pad
-    h = ((canvas.max_y or Fraction(0)) - (canvas.min_y or Fraction(0))) + 2 * pad
-    header = (
-        '<svg xmlns="http://www.w3.org/2000/svg" '
-        f'viewBox="{fmt6(x0)} {fmt6(-y1)} {fmt6(w)} {fmt6(h)}">'
-    )
-    return "\n".join([header, *canvas.parts, "</svg>"]) + "\n"
-
-
-def _octant_triangles(instance: Instance):
-    # Projection of every octant (not just nondominated ones): c_max majorizes
-    # every pairwise c_ij, so all apexes sit at or below the plane.
-    c_max = compute_cmax(list(instance.objects))
-    return [PlaneTriangle(o.apex[0], o.apex[1], c_max - o.apex[2])
-            for o in instance.objects]
-
-
-def _stroke(objects, key) -> Fraction:
-    vals = [v for o in objects for v in key(o)]
-    if not vals:
-        return Fraction(1, 10)
-    span = max(vals) - min(vals)
-    return max(span, Fraction(1)) / 120
+        canvas = _draw_octants(instance, colors)
+    return canvas.svg()

@@ -334,6 +334,24 @@ def test_render_empty_octant_document(tmp_path, capsys):
     assert svg_path.read_text().count("<polygon") == 0
 
 
+def test_render_empty_ray_document(tmp_path, capsys):
+    # No rays means no box to clip them to: draw the target points only, as
+    # for the other classes. Coloring the same document stays exit 2.
+    inst, svg_path = tmp_path / "empty.json", tmp_path / "empty.svg"
+    inst.write_text('{"class": "rays", "objects": [], "points": [[1, 2]]}')
+    code, _, _ = run(capsys, "render", str(inst), "--out", str(svg_path))
+    assert code == 0
+    svg = svg_path.read_text()
+    assert svg.count('class="obj"') == svg.count('class="arrow"') == 0
+    assert svg.count('class="cross"') == 1
+    inst.write_text('{"class": "rays", "objects": []}')
+    code, _, _ = run(capsys, "render", str(inst), "--out", str(svg_path))
+    assert code == 0
+    assert svg_path.read_text().count('class="obj"') == 0
+    code, _, _ = run(capsys, "color", str(inst))
+    assert code == 2
+
+
 def test_render_rejects_wrong_coloring_length(tmp_path, capsys):
     inst = tmp_path / "pair.json"
     col = tmp_path / "col.json"

@@ -2,6 +2,8 @@ import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geomextract import (
     ObjectClass,
@@ -16,7 +18,7 @@ from geomextract import (
     parse_instance,
     serialize_coloring,
 )
-from geomextract.core import Coloring
+from geomextract.core import Axis, Coloring, Interval, Octant, Ray, Segment, make_instance
 
 
 GOOD_DOC = {
@@ -115,6 +117,41 @@ def test_round_trip_preserves_digest(make):
     assert again.weights == inst.weights
     assert again.points == inst.points
     assert instance_digest(again) == instance_digest(inst)
+
+
+# Fractional values, negative and positive, some far from integers.
+_value = st.builds(F, st.integers(-10**12, 10**12), st.integers(1, 10**6))
+_weight = st.builds(F, st.integers(1, 10**6), st.integers(1, 10**6))
+_ends = st.tuples(_value, _value).filter(lambda p: p[0] != p[1]).map(sorted)
+_OBJECT = {
+    ObjectClass.INTERVALS: _ends.map(lambda e: Interval(*e)),
+    ObjectClass.SEGMENTS: st.builds(lambda axis, line, e: Segment(axis, line, *e),
+                                    st.sampled_from(list(Axis)), _value, _ends),
+    ObjectClass.RAYS: st.builds(Ray, st.integers(1, 4), st.tuples(_value, _value)),
+    ObjectClass.OCTANTS: st.builds(Octant, st.tuples(_value, _value, _value)),
+}
+
+
+@st.composite
+def _instances(draw):
+    cls = draw(st.sampled_from(list(ObjectClass)))
+    objects = draw(st.lists(_OBJECT[cls], max_size=8))
+    weights = draw(st.lists(_weight, min_size=len(objects), max_size=len(objects)))
+    points = draw(st.lists(st.tuples(*[_value] * cls.dimension), max_size=5))
+    return make_instance(cls, objects, weights, points)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_instances())
+def test_documents_round_trip_through_the_digest(inst):
+    text = instance_to_json(inst)
+    again = parse_instance(text)
+    assert again.cls is inst.cls
+    assert again.objects == inst.objects
+    assert again.weights == inst.weights
+    assert again.points == inst.points
+    assert instance_digest(again) == instance_digest(inst)
+    assert instance_to_json(again) == text
 
 
 def test_digest_ignores_meta_but_not_geometry():
