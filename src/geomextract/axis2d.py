@@ -77,15 +77,17 @@ def color_segments(instance: Instance) -> Coloring:
     if instance.cls is not ObjectClass.SEGMENTS:
         raise ClassMismatchError(f"expected segments, got {instance.cls.value}")
     colors = [0] * instance.m
-    for group in line_groups(instance.objects):
+    frame = instance.frame
+    for group in line_groups(frame.objects):
         values, ranked = rank_endpoints(
-            [(instance.objects[i].lo, instance.objects[i].hi) for i in group.members]
+            [(frame.objects[i].lo, frame.objects[i].hi) for i in group.members]
         )
         sub = two_color(ranked)
         bad = first_monochromatic(values, ranked, sub)
         if bad is not None:
             x, local = bad
-            point = (x, group.line) if group.axis is Axis.HORIZONTAL else (group.line, x)
+            x, line = Fraction(x, frame.unit), Fraction(group.line, frame.unit)
+            point = (x, line) if group.axis is Axis.HORIZONTAL else (line, x)
             raise AlgorithmInvariantError(
                 "segment coloring is not proper: "
                 f"point ({point[0]}, {point[1]}) is monochromatic",
@@ -152,20 +154,21 @@ def color_rays(instance: Instance) -> Coloring:
     return Coloring(colors, max(2, len(present)))
 
 
-def clip_rays_to_box(rays: Sequence[Ray]) -> Tuple[List[Segment], tuple]:
+def clip_rays_to_box(rays: Sequence[Ray], unit: int = 1) -> Tuple[List[Segment], tuple]:
     """Clip each ray to a box one unit beyond all apex coordinates.
 
     Returns (segments, (x_lo, x_hi, y_lo, y_hi)); segment i comes from ray i.
     Inside the box, segment membership coincides with ray membership, and
     every covering set of the ray arrangement has a witness inside the box,
-    so both arrangements induce the same hypergraph.
+    so both arrangements induce the same hypergraph. Rays given on an
+    integer frame (Frame) clip one frame unit beyond.
     """
     if not rays:
         raise ValueError("no rays to clip")
     xs = [r.apex[0] for r in rays]
     ys = [r.apex[1] for r in rays]
-    x_lo, x_hi = min(xs) - 1, max(xs) + 1
-    y_lo, y_hi = min(ys) - 1, max(ys) + 1
+    x_lo, x_hi = min(xs) - unit, max(xs) + unit
+    y_lo, y_hi = min(ys) - unit, max(ys) + unit
     segments = []
     for r in rays:
         ax, ay = r.apex

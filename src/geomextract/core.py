@@ -5,14 +5,20 @@ is an exact rational comparison, so there is no tolerance anywhere. All
 object classes are closed sets (endpoints and apexes included), which makes
 touching objects intersect. Membership has one test per object class
 (MEMBERSHIP); contains() validates its input, depth() picks the test once.
+
+The fast paths read ints: Instance.frame, the instance scaled once by L = 2 *
+lcm of the denominators of all object and target-point coordinates, built on
+first use. Witnesses leave as Fraction(W, L); depth() stays on Fractions.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property, partial
 from typing import Any, Iterable, Sequence, Union
 
 Point = tuple  # tuple of Fraction, length 1, 2 or 3
@@ -89,7 +95,7 @@ class UnboundedExtractionError(GeomExtractError, RuntimeError):
 # Rationals
 # ---------------------------------------------------------------------------
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+_RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/([1-9]\d*))?")
 
 
 def parse_rational(value: Union[int, str, Fraction]) -> Fraction:
@@ -98,19 +104,21 @@ def parse_rational(value: Union[int, str, Fraction]) -> Fraction:
     Floats are rejected: accepting them would silently break the exactness
     contract.
     """
-    if isinstance(value, Fraction):
-        return value
+    if isinstance(value, str):
+        match = _RATIONAL_RE.fullmatch(value.strip())
+        if not match:
+            raise ParseError(f"not a rational: {value!r}")
+        p, q = match.groups()
+        try:
+            return Fraction(int(p), int(q or 1))
+        except ValueError as exc:  # over the int conversion digit limit
+            raise ParseError(f"not a rational: {exc}") from None
     if isinstance(value, bool):
         raise ParseError(f"not a rational: {value!r}")
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str):
-        if not _RATIONAL_RE.match(value.strip()):
-            raise ParseError(f"not a rational: {value!r}")
-        try:
-            return Fraction(value.strip())
-        except ValueError as exc:  # over the int conversion digit limit
-            raise ParseError(f"not a rational: {exc}") from None
+    if isinstance(value, Fraction):
+        return value
     raise ParseError(f"not a rational: {value!r}")
 
 
@@ -236,7 +244,7 @@ def class_of(obj: GeomObject) -> ObjectClass:
 
 
 # ---------------------------------------------------------------------------
-# Membership
+# Membership and the box model
 # ---------------------------------------------------------------------------
 
 def _in_interval(obj: Interval, p: Point) -> bool:
@@ -285,6 +293,60 @@ def triangle_contains(t: PlaneTriangle, u: Fraction, v: Fraction) -> bool:
     return u >= t.a and v >= t.b and u + v <= t.s
 
 
+def _box(obj: GeomObject) -> tuple:
+    """Per-axis closed extents (lo, hi) of obj; None marks an open end."""
+    if isinstance(obj, Interval):
+        return ((obj.a, obj.b),)
+    if isinstance(obj, Segment):
+        run, line = (obj.lo, obj.hi), (obj.line, obj.line)
+        return (run, line) if obj.axis is Axis.HORIZONTAL else (line, run)
+    if isinstance(obj, Ray):  # orientation 1: +x, 2: -x, 3: +y, 4: -y
+        (ax, ay), o = obj.apex, obj.orientation
+        if o <= 2:
+            return ((ax, None) if o == 1 else (None, ax)), (ay, ay)
+        return (ax, ax), ((ay, None) if o == 3 else (None, ay))
+    return tuple((v, None) for v in obj.apex)
+
+
+def _scale(unit: int, v):
+    """The integer v * unit (v a multiple of 1/unit); None stays None."""
+    return None if v is None else v.numerator * (unit // v.denominator)
+
+
+def _scaled(obj: GeomObject, s) -> GeomObject:
+    """obj with every coordinate v replaced by the integer s(v)."""
+    if isinstance(obj, Interval):
+        return Interval(s(obj.a), s(obj.b))
+    if isinstance(obj, Segment):
+        return Segment(obj.axis, s(obj.line), s(obj.lo), s(obj.hi))
+    if isinstance(obj, Ray):
+        return Ray(obj.orientation, tuple(map(s, obj.apex)))
+    return Octant(tuple(map(s, obj.apex)))
+
+
+@dataclass(frozen=True)
+class Frame:
+    """Instance.frame: coordinate v is v * unit. Each part is built on first
+    use: extents[d][i], object i's (lo, hi) on axis d (None if open), the
+    target points, and the objects."""
+
+    unit: int
+    source: tuple = field(repr=False)  # (per-axis extents, objects, points), unscaled
+
+    @cached_property
+    def extents(self) -> tuple:
+        s = partial(_scale, self.unit)
+        return tuple(tuple((s(a), s(b)) for a, b in axis) for axis in self.source[0])
+
+    @cached_property
+    def points(self) -> tuple:
+        return tuple(tuple(map(partial(_scale, self.unit), p)) for p in self.source[2])
+
+    @cached_property
+    def objects(self) -> tuple:
+        return tuple(_scaled(o, partial(_scale, self.unit)) for o in self.source[1])
+
+
 # ---------------------------------------------------------------------------
 # Instances and colorings
 # ---------------------------------------------------------------------------
@@ -308,8 +370,10 @@ class Instance:
         if len(self.weights) != len(self.objects):
             raise ValueError("weights must align with objects")
         for w in self.weights:
-            if not isinstance(w, Fraction) or w <= 0:
-                raise ValueError(f"weights must be positive rationals, got {w!r}")
+            if not isinstance(w, Fraction):
+                raise ValueError(f"weights must be rationals, got {w!r}")
+            if w <= 0:
+                raise ValueError(f"weights must be positive, got {w}")
         for p in self.points:
             if len(p) != self.cls.dimension:
                 raise ClassMismatchError(
@@ -319,6 +383,17 @@ class Instance:
     @property
     def m(self) -> int:
         return len(self.objects)
+
+    @cached_property
+    def frame(self) -> Frame:
+        """This instance on integers, computed on first use and then kept."""
+        boxes = [_box(o) for o in self.objects]
+        unit = 2 * math.lcm(
+            *{v.denominator for b in boxes for ext in b for v in ext if v is not None},
+            *{v.denominator for p in self.points for v in p},
+        )
+        axes = tuple(tuple(b[d] for b in boxes) for d in range(self.cls.dimension))
+        return Frame(unit, (axes, self.objects, self.points))
 
     def indices(self) -> range:
         return range(len(self.objects))

@@ -115,9 +115,6 @@ def parse_instance(doc: Any) -> Instance:
         if not isinstance(raw_weights, list) or len(raw_weights) != len(objects):
             raise ParseError('"weights" must align with "objects"')
         weights = [parse_rational(w) for w in raw_weights]
-        for w in weights:
-            if w <= 0:
-                raise ParseError(f"weights must be positive, got {w}")
 
     raw_points = doc.get("points", [])
     if not isinstance(raw_points, list):

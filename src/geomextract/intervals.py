@@ -252,7 +252,7 @@ def first_monochromatic(
                 del count[c]
         active -= len(ending[r])
         if active >= 2 and len(count) == 1:
-            return (x + values[r + 1]) / 2, _covering(ranked, r, r + 1)
+            return Fraction(x + values[r + 1], 2), _covering(ranked, r, r + 1)
     return None
 
 
@@ -272,11 +272,11 @@ def color_intervals(instance: Instance) -> Coloring:
         raise ClassMismatchError(f"expected intervals, got {instance.cls.value}")
     if instance.m == 0:
         return Coloring((), 2)
-    values, ranked = rank_endpoints([(o.a, o.b) for o in instance.objects])
+    values, ranked = rank_endpoints(instance.frame.extents[0])
     colors = two_color(ranked)
     bad = first_monochromatic(values, ranked, colors)
     if bad is not None:
-        x, covering = bad
+        x, covering = Fraction(bad[0], instance.frame.unit), bad[1]
         raise AlgorithmInvariantError(
             f"interval coloring is not proper: point {x} is monochromatic",
             witness=((x,), covering),

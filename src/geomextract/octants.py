@@ -310,18 +310,21 @@ def color_octants(instance: Instance, size_cap: int = DEFAULT_SIZE_CAP) -> Color
     if instance.m == 0:
         return Coloring((), 4)
 
-    dag = compute_domination(instance.objects)
-    kept = [instance.objects[i] for i in dag.nondominated]
+    scaled = instance.frame.objects  # ranks, joins and covers read ints
+    dag = compute_domination(scaled)
+    kept = dag.nondominated
     # The search is exponential: it stays capped at the default whatever
     # size_cap allows.
     if len(kept) > DEFAULT_SIZE_CAP:
         raise SizeCapError(
             f"{len(kept)} nondominated octants exceed cap {DEFAULT_SIZE_CAP}"
         )
-    sub_colors = _search_coloring(len(kept), join_cover_edges(kept), max_colors=4)
+    edges = join_cover_edges([scaled[i] for i in kept])
+    sub_colors = _search_coloring(len(kept), edges, max_colors=4)
     if sub_colors is None:
         raise NoFourColoringError(
-            "no proper 4-coloring found by exhaustive search", objects=kept
+            "no proper 4-coloring found by exhaustive search",
+            objects=[instance.objects[i] for i in kept],
         )
 
     colors = [0] * instance.m

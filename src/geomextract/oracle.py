@@ -13,12 +13,11 @@ candidate per distinct mask (an event, a gap midpoint, or a sentinel past
 the extreme event on an open side) and so witnesses every cell;
 coverer_masks serves extract, check_cover and the exact covers, and the
 octant ranks come from the same table. That claim is not assumed: it is
-tested against dense sampling and core.depth. The grid is walked on
-integers: each instance is scaled once by L, twice the lcm of its
-coordinates' denominators, so events are even integers and gap midpoints
-exact integers. Every grid witness is re-checked with core's membership
-test for the class (core.MEMBERSHIP) on the scaled objects, independently
-of the masks, and handed back as Fraction(W, L).
+tested against dense sampling and core.depth. Tables, grid and masks read
+the instance's integer frame (core.Frame, unit L), where events are even
+integers and gap midpoints integers. Every grid witness is re-checked with
+core's membership test (core.MEMBERSHIP) on the frame's objects,
+independently of the masks, and handed back as Fraction(W, L).
 
 Plane triangles (octant projections) have a slanted side and are
 enumerated separately, by horizontal slices.
@@ -42,7 +41,6 @@ from .core import (
     Coloring,
     Instance,
     Interval,
-    Octant,
     PlaneTriangle,
     Ray,
     Segment,
@@ -96,21 +94,6 @@ def _with_midpoints(values: Iterable[Fraction]) -> list:
     return out
 
 
-def _box(obj) -> tuple:
-    """Per-axis closed extents (lo, hi) of obj; None marks an open end."""
-    if isinstance(obj, Interval):
-        return ((obj.a, obj.b),)
-    if isinstance(obj, Segment):
-        run, line = (obj.lo, obj.hi), (obj.line, obj.line)
-        return (run, line) if obj.axis is Axis.HORIZONTAL else (line, run)
-    if isinstance(obj, Ray):  # orientation 1: +x, 2: -x, 3: +y, 4: -y
-        (ax, ay), o = obj.apex, obj.orientation
-        if o <= 2:
-            return ((ax, None) if o == 1 else (None, ax)), (ay, ay)
-        return (ax, ax), ((ay, None) if o == 3 else (None, ay))
-    return tuple((v, None) for v in obj.apex)
-
-
 def _axis_table(extents: Sequence[tuple]) -> tuple:
     """Sorted events on one axis and the objects covering each slot.
 
@@ -160,12 +143,12 @@ def coverer_masks(instance: Instance, chosen: Optional[Sequence[int]] = None) ->
     A point's mask is the AND of one lookup per axis: a dict hit on an
     event, or a bisect into the gap holding the coordinate.
     """
-    if chosen is None:
-        chosen = instance.indices()
-    boxes = [_box(instance.objects[i]) for i in chosen]
-    tables = [_axis_table([b[d] for b in boxes]) for d in range(instance.cls.dimension)]
+    extents = instance.frame.extents
+    if chosen is not None:
+        extents = [[ext[i] for i in chosen] for ext in extents]
+    tables = [_axis_table(ext) for ext in extents]
     out = []
-    for p in instance.points:
+    for p in instance.frame.points:
         mask = -1
         for x, (events, slot, masks) in zip(p, tables):
             # event slots are odd, so a miss (None) falls through to the gap
@@ -174,36 +157,12 @@ def coverer_masks(instance: Instance, chosen: Optional[Sequence[int]] = None) ->
     return out
 
 
-def _frame_unit(objects: Sequence) -> int:
-    """L = 2 * lcm of the denominators of every finite extent end."""
-    return 2 * math.lcm(*{
-        v.denominator for o in objects for ext in _box(o) for v in ext if v is not None
-    })
-
-
-def _scaled(obj, unit: int):
-    """obj with every coordinate v replaced by the integer v * unit."""
-    def s(v):
-        return v.numerator * (unit // v.denominator)
-
-    if isinstance(obj, Interval):
-        return Interval(s(obj.a), s(obj.b))
-    if isinstance(obj, Segment):
-        return Segment(obj.axis, s(obj.line), s(obj.lo), s(obj.hi))
-    if isinstance(obj, Ray):
-        return Ray(obj.orientation, tuple(map(s, obj.apex)))
-    return Octant(tuple(map(s, obj.apex)))
-
-
-def _grid_edges(objects: Sequence, unit: int) -> dict:
+def _grid_edges(extents: Sequence[Sequence[tuple]], unit: int) -> dict:
     """First witness of every covering set of size >= 2, x-major order.
 
-    The objects are scaled into the frame of the unit; so are the witnesses.
+    Extents and witnesses are on an integer frame of the unit (core.Frame).
     """
-    boxes = [_box(o) for o in objects]
-    axes = [
-        _axis_candidates([b[d] for b in boxes], unit) for d in range(len(boxes[0]))
-    ]
+    axes = [_axis_candidates(ext, unit) for ext in extents]
     *outer, (last_vals, last_masks) = axes
     prefixes = [(-1, ())]  # (covering mask so far, point so far)
     for vals, masks in outer:
@@ -274,15 +233,14 @@ def enumerate_hyperedges(
         raise SizeCapError(f"{instance.m} objects exceed cap {size_cap}")
     if instance.m == 0:
         return HyperedgeSet({})
-    unit = _frame_unit(instance.objects)
-    scaled = [_scaled(o, unit) for o in instance.objects]
+    frame = instance.frame
     inside = core.MEMBERSHIP[instance.cls]
     edges: dict = {}
-    for edge, w in _grid_edges(scaled, unit).items():
-        witness = tuple(Fraction(c, unit) for c in w)
+    for edge, w in _grid_edges(frame.extents, frame.unit).items():
+        witness = tuple(Fraction(c, frame.unit) for c in w)
         # Depth consistency: each witness realizes exactly its edge under
         # core's membership test, which knows nothing of the grid's masks.
-        if frozenset([i for i, o in enumerate(scaled) if inside(o, w)]) != edge:
+        if frozenset([i for i, o in enumerate(frame.objects) if inside(o, w)]) != edge:
             raise AlgorithmInvariantError(
                 "oracle witness disagrees with core membership", witness=witness
             )

@@ -1,11 +1,10 @@
 """Deterministic SVG figures of instances, drawn on one integer frame.
 
-Each document is scaled once onto an integer frame: a unit D that is a
-common multiple of the denominators of every drawn coordinate, times a
-factor that makes the finest derived size whole too (a twelfth of the bar
-pitch for intervals, half the stroke width for the other classes). A value
-v is drawn as the integer v * D, so the drawing loops add, negate and take
-bounds on ints only, with no Fraction arithmetic. fmt6 prints n / D with
+Each document is drawn on the instance's integer frame (core.Frame, unit
+L) times a factor that makes the finest derived size whole too (a twelfth
+of the bar pitch for intervals, half the stroke width for the other
+classes): a value v is the integer v * D, D = factor * L, so the drawing
+loops add, negate and take bounds on ints only. fmt6 prints n / D with
 exactly six decimals, rounded half away from zero, by integer division; the
 viewBox header goes through the same formatter. The decimal text depends
 only on the value n / D, never on the choice of D; it is display-only and
@@ -15,13 +14,11 @@ document without objects draws only its target points.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import partial
-from math import lcm
 from typing import List, Optional, Sequence
 
 from .axis2d import clip_rays_to_box
-from .core import Axis, Coloring, Instance, ObjectClass, Octant
+from .core import Axis, Coloring, Frame, Instance, ObjectClass
 from .octants import compute_cmax
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
@@ -118,15 +115,6 @@ class _Canvas:
         return "\n".join([header, *self.parts, "</svg>"]) + "\n"
 
 
-def _frame(values: Sequence[Fraction], factor: int) -> tuple:
-    """(unit, ints): the values as integers on the unit factor * lcm of
-    their denominators. fmt6 reads only the value n / unit, so any common
-    multiple of the denominators draws the same text; the factor makes the
-    document's finest size an integer as well."""
-    unit = factor * lcm(*{v.denominator for v in values})
-    return unit, [v.numerator * (unit // v.denominator) for v in values]
-
-
 def _half_width(ints: Sequence[int], unit: int) -> int:
     """Half the stroke width on a frame of factor 240: the span of the
     objects' coordinates (at least 1) over 240, or 1/20 when there are
@@ -146,27 +134,25 @@ def _draw_intervals(instance: Instance, colors: List[str]) -> _Canvas:
     # Bars are spaced row = span / m / 4 apart (span at least 1); bars,
     # crosses and strokes are whole ticks of row / 12, which the frame
     # factor 48 m makes an integer.
-    m, factor = instance.m, 48 * max(instance.m, 1)
-    values = [v for o in instance.objects for v in (o.a, o.b)]
-    values += [p[0] for p in instance.points]
-    unit, ints = _frame(values, factor)
-    span = max(max(ints[:2 * m]) - min(ints[:2 * m]), unit) if m else unit
+    m, factor, frame = instance.m, 48 * max(instance.m, 1), instance.frame
+    unit = factor * frame.unit
+    ints = [factor * v for ext in frame.extents[0] for v in ext]
+    span = max(max(ints) - min(ints), unit) if m else unit
     tick = span // factor
     canvas = _Canvas(unit)
-    for i in range(m):
-        a, b = ints[2 * i], ints[2 * i + 1]
+    for i, (a, b) in enumerate(zip(ints[0::2], ints[1::2])):
         canvas.rect(a, 12 * tick * (i + 1) - 3 * tick, b - a, 6 * tick, colors[i], "obj")
-    for x in ints[2 * m:]:
-        canvas.cross(x, 0, 6 * tick, tick)
+    for (x,) in frame.points:
+        canvas.cross(factor * x, 0, 6 * tick, tick)
     return canvas
 
 
-def _draw_axis2d(segments, points, colors: List[str], orientations=()) -> _Canvas:
-    """Segments, or clipped rays with an arrow at their open end."""
+def _draw_axis2d(segments, frame: Frame, colors: List[str], orientations=()) -> _Canvas:
+    """Segments on the frame, or clipped rays with an arrow at their open end."""
     n = 3 * len(segments)
-    values = [v for s in segments for v in (s.lo, s.hi, s.line)]
-    values += [v for p in points for v in p]
-    unit, ints = _frame(values, 240)
+    ints = [240 * v for s in segments for v in (s.lo, s.hi, s.line)]
+    ints += [240 * v for p in frame.points for v in p]
+    unit = 240 * frame.unit
     half = _half_width(ints[:n], unit)
     canvas = _Canvas(unit)
     for i, s in enumerate(segments):
@@ -187,18 +173,16 @@ def _draw_octants(instance: Instance, colors: List[str]) -> _Canvas:
     # c_max majorizes every pairwise c_ij, so every apex, dominated or not,
     # sits at or below the plane x + y + z = c_max. Octant i is drawn as the
     # triangle {u >= a_i, v >= b_i, u + v <= s_i} with s_i = c_max - c_i.
-    n = 3 * instance.m
-    values = [v for o in instance.objects for v in o.apex]
-    values += [v for p in instance.points for v in p[:2]]
-    unit, ints = _frame(values, 240)
-    apexes = list(zip(ints[0:n:3], ints[1:n:3], ints[2:n:3]))
-    c_max = compute_cmax([Octant(apex) for apex in apexes], unit) if apexes else 0
-    triangles = [(a, b, c_max - c) for a, b, c in apexes]
+    frame = instance.frame
+    apexes = [o.apex for o in frame.objects]
+    c_max = compute_cmax(frame.objects, frame.unit) if apexes else 0
+    triangles = [(240 * a, 240 * b, 240 * (c_max - c)) for a, b, c in apexes]
+    unit = 240 * frame.unit
     half = _half_width([v for t in triangles for v in t], unit)
     canvas = _Canvas(unit)
     for i, (a, b, s) in enumerate(triangles):
         canvas.polygon([(a, b), (s - b, b), (a, s - a)], colors[i], 2 * half, "obj")
-    _crosses(canvas, ints[n:], half)
+    _crosses(canvas, [240 * v for p in frame.points for v in p[:2]], half)
     return canvas
 
 
@@ -217,12 +201,12 @@ def render_svg(instance: Instance, coloring: Optional[Coloring] = None) -> str:
     if cls is ObjectClass.INTERVALS:
         canvas = _draw_intervals(instance, colors)
     elif cls is ObjectClass.SEGMENTS:
-        canvas = _draw_axis2d(instance.objects, instance.points, colors)
+        canvas = _draw_axis2d(instance.frame.objects, instance.frame, colors)
     elif cls is ObjectClass.RAYS:
-        rays = instance.objects
-        segments = clip_rays_to_box(list(rays))[0] if rays else []
-        canvas = _draw_axis2d(segments, instance.points, colors,
-                              [r.orientation for r in rays])
+        frame = instance.frame
+        rays = frame.objects
+        segments = clip_rays_to_box(list(rays), frame.unit)[0] if rays else []
+        canvas = _draw_axis2d(segments, frame, colors, [r.orientation for r in rays])
     else:
         canvas = _draw_octants(instance, colors)
     return canvas.svg()

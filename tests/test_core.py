@@ -1,7 +1,9 @@
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from geomextract import (
     Axis,
@@ -33,6 +35,24 @@ def test_parse_rational_forms():
 def test_parse_rational_rejects_inexact(bad):
     with pytest.raises(ParseError):
         parse_rational(bad)
+
+
+_TWO_PASS_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(st.text(alphabet="0123456789+-/ _.\n\u0663", max_size=9))
+@example("+12/4 ")
+@example("-0/7")
+@example("\u0663/\u0664")
+def test_parse_rational_accepts_what_the_two_pass_reading_did(text):
+    # Reference: the earlier reading, a regex check and then Fraction(str).
+    want = F(text.strip()) if _TWO_PASS_RE.match(text.strip()) else None
+    try:
+        got = parse_rational(text)
+    except ParseError:
+        got = None
+    assert got == want
 
 
 def test_degenerate_objects_rejected():

@@ -2,8 +2,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geomextract import (
+    Axis,
     Coloring,
     DepthPreconditionError,
     ImproperColoringError,
@@ -14,6 +16,7 @@ from geomextract import (
     check_cover,
     color_instance,
     depth,
+    enumerate_hyperedges,
     exact_chromatic,
     exact_extraction_number,
     exact_min_cover,
@@ -27,7 +30,7 @@ from geomextract import (
     make_instance,
     total_weight,
 )
-from geomextract.core import Interval
+from geomextract.core import Interval, Octant, Ray, Segment
 from geomextract.extraction import _min_weight_set_cover, _coverer_sets
 
 
@@ -197,6 +200,41 @@ def test_extract_never_beats_exact_optimum():
             for p in inst.points:
                 assert depth(inst, p)[1] & res.sol, (cls, seed, p)
                 assert depth(inst, p)[1] & cover, (cls, seed, p)
+
+
+_coord = st.builds(F, st.integers(-12, 12), st.sampled_from([1, 2, 3, 5]))
+_run = st.tuples(_coord, _coord).filter(lambda p: p[0] != p[1]).map(sorted)
+_OBJECTS = {
+    ObjectClass.INTERVALS: st.builds(lambda r: Interval(*r), _run),
+    ObjectClass.SEGMENTS: st.builds(
+        lambda axis, line, r: Segment(axis, line, *r),
+        st.sampled_from(list(Axis)), _coord, _run,
+    ),
+    ObjectClass.RAYS: st.builds(Ray, st.integers(1, 4), st.tuples(_coord, _coord)),
+    ObjectClass.OCTANTS: st.builds(Octant, st.tuples(_coord, _coord, _coord)),
+}
+
+
+@pytest.mark.parametrize("cls", list(ObjectClass), ids=lambda c: c.value)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_extract_meets_w_over_kappa_and_never_beats_min_cover(cls, data):
+    # Random fractional objects and weights under the cover cap; the targets
+    # are one witness per hyperedge, so every target has depth >= 2.
+    objects = data.draw(st.lists(_OBJECTS[cls], min_size=1, max_size=12))
+    weights = data.draw(st.lists(
+        st.builds(F, st.integers(1, 9), st.integers(1, 4)),
+        min_size=len(objects), max_size=len(objects),
+    ))
+    points = list(enumerate_hyperedges(make_instance(cls, objects)).edges.values())
+    inst = make_instance(cls, objects, weights, points)
+    assert all(depth(inst, p)[0] >= 2 for p in points)
+    col = color_instance(inst)
+    res = extract(inst, col)
+    assert res.extracted_weight * col.kappa >= total_weight(inst, inst.indices())
+    _, w_cover = exact_min_cover(inst)
+    assert total_weight(inst, res.sol) >= w_cover
+    assert all(depth(inst, p)[1] & res.sol for p in points)
 
 
 def test_chromatic_examples():

@@ -11,18 +11,23 @@ from hypothesis import given, settings, strategies as st
 
 from geomextract import (
     Coloring,
+    DepthPreconditionError,
     ObjectClass,
+    UncoverablePointError,
     check_cover,
     check_proper,
     color_instance,
     depth,
     enumerate_hyperedges,
     enumerate_hyperedges_dense,
+    exact_min_cover,
+    extract,
     gen_interval_pair,
     gen_kbox,
     gen_octant4,
     gen_random,
     make_instance,
+    total_weight,
 )
 from geomextract import docio, oracle
 from geomextract.core import (
@@ -181,17 +186,22 @@ def _coordinates(obj):
 @given(data=st.data())
 def test_coverer_masks_match_depth(cls, data):
     # Coordinates of the points come from every defining value (events and
-    # segment or ray lines), the midpoints between them, and one value past
-    # each end; with no objects at all every mask must be 0.
+    # segment or ray lines), the midpoints between them, one value past
+    # each end, and values over 7, 11 and 13, denominators no object uses
+    # (so a frame built from the objects alone would miss them); with no
+    # objects at all every mask must be 0.
     objects = data.draw(st.lists(_OBJECTS[cls], max_size=10))
     values = sorted({v for o in objects for v in _coordinates(o)}) or [F(1, 3)]
     pool = [values[0] - 1, values[-1] + 1, *values]
     pool += [(a + b) / 2 for a, b in zip(values, values[1:])]
-    axis = st.sampled_from(pool)
+    off = st.builds(lambda v, d: v + F(1, d), st.sampled_from(values),
+                    st.sampled_from([7, 11, 13, -7, -11, -13]))
+    axis = st.one_of(st.sampled_from(pool), off)
     points = data.draw(
         st.lists(st.tuples(*[axis] * cls.dimension), min_size=1, max_size=12)
     )
-    inst = make_instance(cls, objects, points=points)
+    weights = [F(1 + i % 5, 1 + i % 3) for i in range(len(objects))]
+    inst = make_instance(cls, objects, weights, points=points)
     indices = range(len(objects))
     chosen = sorted(data.draw(st.sets(st.sampled_from(indices)))) if objects else []
 
@@ -199,8 +209,33 @@ def test_coverer_masks_match_depth(cls, data):
         covering = depth(inst, p)[1]
         return sum(1 << k for k, i in enumerate(order) if i in covering)
 
-    assert oracle.coverer_masks(inst) == [mask_of(p, indices) for p in points]
+    masks = [mask_of(p, indices) for p in points]
+    assert oracle.coverer_masks(inst) == masks
     assert oracle.coverer_masks(inst, chosen) == [mask_of(p, chosen) for p in points]
+
+    # The readers of the masks agree with depth as well.
+    missed = [k for k, p in enumerate(points) if not mask_of(p, chosen)]
+    verdict = check_cover(inst, chosen)
+    assert verdict.covered == (not missed)
+    assert verdict.point_index == (missed[0] if missed else None)
+    if not all(masks):
+        with pytest.raises(UncoverablePointError):
+            exact_min_cover(inst)
+    else:  # against every subset, by the masks depth gave
+        _, w_cover = exact_min_cover(inst)
+        assert w_cover == min(
+            total_weight(inst, [i for i in indices if s >> i & 1])
+            for s in range(1 << len(objects))
+            if all(m & s for m in masks)
+        )
+    if objects:
+        col = color_instance(inst)
+        if all(m & (m - 1) for m in masks):
+            sol = extract(inst, col).sol
+            assert all(depth(inst, p)[1] & sol for p in points)
+        else:
+            with pytest.raises(DepthPreconditionError):
+                extract(inst, col)
 
 
 # Rays draw their orientations from a random nonempty subset first, so one-,

@@ -42,3 +42,20 @@ def test_traced_names_resolve_in_package():
         if not hasattr(importlib.import_module(f"geomextract.{module}"), function)
     ]
     assert missing == []
+
+
+def test_lcm_only_in_the_instance_frame():
+    # One integer frame per instance: a second function calling lcm would be
+    # a second scaling of the coordinates.
+    callers = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.Call) and "lcm" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)
+                ):
+                    callers.add(f"{path.name}:{func.name}")
+    assert callers == {"core.py:frame"}
