@@ -107,14 +107,13 @@ def _ray_line(r: Ray) -> Fraction:
     return r.apex[1] if r.orientation in (1, 2) else r.apex[0]
 
 
-def dominating_rays(rays: Sequence[Ray], indices: Sequence[int]) -> set:
+def dominating_rays(rays: Sequence[Ray]) -> set:
     """Per (orientation, line), the index of the ray containing all others.
 
     Extremal apex wins; duplicate apexes resolve to the lowest index.
     """
     best: Dict[tuple, int] = {}
-    for i in indices:
-        r = rays[i]
+    for i, r in enumerate(rays):
         key = (r.orientation, _ray_line(r))
         extent = r.apex[0] if r.orientation in (1, 2) else r.apex[1]
         if r.orientation in (1, 3):
@@ -147,7 +146,7 @@ def color_rays(instance: Instance) -> Coloring:
         pair = [1, 2] if {1, 2} <= present else [3, 4]
     palette = {o: (3, 1) for o in present}
     palette.update(zip(pair, ((1, 2), (2, 1))))
-    doms = dominating_rays(rays, range(len(rays)))
+    doms = dominating_rays(rays)
     colors = tuple(
         palette[r.orientation][0 if i in doms else 1] for i, r in enumerate(rays)
     )

@@ -92,8 +92,11 @@ def _write_out(path: str, text: str) -> None:
     fails, the old file is already gone and the error names the temporary
     file that holds the output. Anything else (a symlink, a device, a FIFO,
     a file with other links or another owner) is opened and written in
-    place. Crash durability is not promised.
+    place. Crash durability is not promised. An empty path is refused
+    before anything is created.
     """
+    if not path:
+        raise ParseError("cannot write an empty path")
     try:
         old = os.lstat(path)
     except FileNotFoundError:
@@ -174,7 +177,7 @@ def _cmd_gen(args) -> int:
             raise ParseError(f"unknown class {args.klass!r}") from None
         instance = generators.gen_random(cls, args.n, args.seed)
     text = docio.instance_to_json(instance)
-    if args.out:
+    if args.out is not None:
         _write_out(args.out, text)
     else:
         sys.stdout.write(text)
@@ -209,7 +212,7 @@ def _cmd_color(args) -> int:
                 "single-orientation rays: 2-coloring provided, but no "
                 "extraction guarantee is claimed for type 1"
             )
-    if args.out:
+    if args.out is not None:
         _write_out(args.out, docio.coloring_to_json(coloring))
     _report("color", instance, result, started)
     return EXIT_OK
@@ -218,7 +221,7 @@ def _cmd_color(args) -> int:
 def _cmd_extract(args) -> int:
     started = time.perf_counter()
     instance = _read_instance(args.input)
-    if args.coloring:
+    if args.coloring is not None:
         coloring = _read_coloring(args.coloring)
     else:
         coloring = color_instance(instance, args.size_cap)
@@ -230,7 +233,7 @@ def _cmd_extract(args) -> int:
         "ratio": rational_repr(res.ratio),
         "kappa": res.kappa,
     }
-    if args.out:
+    if args.out is not None:
         _write_out(args.out, json.dumps(result, indent=2, sort_keys=True) + "\n")
     _report("extract", instance, result, started)
     return EXIT_OK
@@ -241,7 +244,7 @@ def _cmd_verify(args) -> int:
     instance = _read_instance(args.input)
     if (args.coloring is None) == (args.cover is None):
         raise ParseError("verify needs exactly one of --coloring or --cover")
-    if args.coloring:
+    if args.coloring is not None:
         coloring = _read_coloring(args.coloring)
         if len(coloring.colors) != instance.m:
             raise ParseError("coloring length does not match instance")
@@ -295,11 +298,11 @@ def _cmd_bounds(args) -> int:
 def _cmd_render(args) -> int:
     started = time.perf_counter()
     instance = _read_instance(args.input)
-    coloring = _read_coloring(args.coloring) if args.coloring else None
+    coloring = _read_coloring(args.coloring) if args.coloring is not None else None
     if coloring is not None and len(coloring.colors) != instance.m:
         raise ParseError("coloring length does not match instance")
     svg = render.render_svg(instance, coloring)
-    if args.out:
+    if args.out is not None:
         _write_out(args.out, svg)
     else:
         sys.stdout.write(svg)

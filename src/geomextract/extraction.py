@@ -78,7 +78,7 @@ def extract(instance: Instance, coloring: Coloring) -> ExtractionResult:
                 witness=p,
             )
     sol = frozenset(instance.indices()) - extracted
-    w_all = total_weight(instance, instance.indices())
+    w_all = sum(class_weight.values())
     w_extracted = class_weight[best_color]
     if w_extracted * coloring.kappa < w_all:
         raise AlgorithmInvariantError("heaviest color class below W/kappa")
@@ -90,17 +90,6 @@ def extract(instance: Instance, coloring: Coloring) -> ExtractionResult:
 # ---------------------------------------------------------------------------
 # Exact minimum-weight cover
 # ---------------------------------------------------------------------------
-
-def _coverer_sets(instance: Instance) -> List[frozenset]:
-    sets = []
-    for p, mask in zip(instance.points, oracle.coverer_masks(instance)):
-        if not mask:
-            raise UncoverablePointError(
-                f"target point {p} is covered by no object", point=p
-            )
-        sets.append(oracle._mask_members(mask))
-    return sets
-
 
 def _min_weight_vertex_cover(
     edges: Sequence[Tuple[int, int]], weights: Sequence[Fraction]
@@ -187,53 +176,53 @@ def _min_weight_vertex_cover(
 
 
 def _min_weight_set_cover(
-    point_sets: Sequence[frozenset], weights: Sequence[Fraction]
+    point_masks: Sequence[int], weights: Sequence[Fraction]
 ) -> FrozenSet[int]:
     """Exact minimum-weight set cover by branching on a hardest point.
 
-    States are memoized by their uncovered point set: a path arriving no
-    cheaper than a previous visit is pruned.
+    point_masks[k] is the mask of the objects covering point k. States are
+    memoized by their mask of uncovered points: a path arriving no cheaper
+    than a previous visit is pruned.
     """
+    members = oracle._mask_members
     # Covering a point with a subset coverer-set also covers every point
-    # whose coverer-set is a superset; keep only minimal ones.
-    minimal: List[frozenset] = []
-    for s in sorted(set(point_sets), key=lambda s: (len(s), sorted(s))):
-        if not any(t <= s for t in minimal):
+    # whose coverer-set is a superset; keep only minimal ones. Sorted by
+    # (size, members), the lowest uncovered point is a hardest one.
+    minimal: List[int] = []
+    for s in sorted(
+        set(point_masks), key=lambda s: (s.bit_count(), sorted(members(s)))
+    ):
+        if not any(t & s == t for t in minimal):
             minimal.append(s)
     if not minimal:
         return frozenset()
 
-    object_covers: Dict[int, List[int]] = {}
+    hits = [0] * len(weights)  # hits[i]: mask of the minimal points i covers
     for k, s in enumerate(minimal):
-        for i in s:
-            object_covers.setdefault(i, []).append(k)
+        for i in members(s):
+            hits[i] |= 1 << k
+    branches = [sorted(members(s), key=lambda i: (weights[i], i)) for s in minimal]
 
-    def greedy() -> set:
-        chosen: set = set()
-        uncovered = set(range(len(minimal)))
+    def greedy() -> int:
+        chosen = 0
+        uncovered = (1 << len(minimal)) - 1
         while uncovered:
-            useful = [
-                i for i in object_covers if set(object_covers[i]) & uncovered
-            ]
             pick = min(
-                useful,
-                key=lambda i: (
-                    weights[i] / len(set(object_covers[i]) & uncovered),
-                    i,
-                ),
+                (i for i, h in enumerate(hits) if h & uncovered),
+                key=lambda i: (weights[i] / (hits[i] & uncovered).bit_count(), i),
             )
-            chosen.add(pick)
-            uncovered -= set(object_covers[pick])
+            chosen |= 1 << pick
+            uncovered &= ~hits[pick]
         return chosen
 
     init = greedy()
-    best = [sum((weights[i] for i in init), Fraction(0)), set(init)]
-    visited: Dict[frozenset, Fraction] = {}
+    best = [sum((weights[i] for i in members(init)), Fraction(0)), init]
+    visited: Dict[int, Fraction] = {}
 
-    def rec(uncovered: frozenset, cur_w: Fraction, chosen: set) -> None:
+    def rec(uncovered: int, cur_w: Fraction, chosen: int) -> None:
         if not uncovered:
             if cur_w < best[0]:
-                best[0], best[1] = cur_w, set(chosen)
+                best[0], best[1] = cur_w, chosen
             return
         if cur_w >= best[0]:
             return
@@ -241,16 +230,12 @@ def _min_weight_set_cover(
         if prev is not None and prev <= cur_w:
             return
         visited[uncovered] = cur_w
-        point = min(uncovered, key=lambda k: (len(minimal[k]), k))
-        for i in sorted(minimal[point], key=lambda i: (weights[i], i)):
-            rec(
-                frozenset(k for k in uncovered if i not in minimal[k]),
-                cur_w + weights[i],
-                chosen | {i},
-            )
+        point = (uncovered & -uncovered).bit_length() - 1
+        for i in branches[point]:
+            rec(uncovered & ~hits[i], cur_w + weights[i], chosen | 1 << i)
 
-    rec(frozenset(range(len(minimal))), Fraction(0), set())
-    return frozenset(best[1])
+    rec((1 << len(minimal)) - 1, Fraction(0), 0)
+    return members(best[1])
 
 
 def exact_min_cover(
@@ -259,12 +244,17 @@ def exact_min_cover(
     """Minimum-weight subset of objects covering every target point."""
     if instance.m > size_cap:
         raise SizeCapError(f"{instance.m} objects exceed cap {size_cap}")
-    sets = _coverer_sets(instance)
-    if all(len(s) == 2 for s in sets):
-        edges = sorted({tuple(sorted(s)) for s in sets})
+    masks = oracle.coverer_masks(instance)
+    for p, mask in zip(instance.points, masks):
+        if not mask:
+            raise UncoverablePointError(
+                f"target point {p} is covered by no object", point=p
+            )
+    if all(mask.bit_count() == 2 for mask in masks):
+        edges = sorted({((m & -m).bit_length() - 1, m.bit_length() - 1) for m in masks})
         cover = _min_weight_vertex_cover(edges, instance.weights)
     else:
-        cover = _min_weight_set_cover(sets, instance.weights)
+        cover = _min_weight_set_cover(masks, instance.weights)
     return cover, total_weight(instance, cover)
 
 

@@ -14,8 +14,8 @@ hyperedges are exactly the minimal sets among the m(m-1)/2 join covers, and
 a coloring is proper iff none of them is monochromatic. The search accepts
 and prunes exactly the partial colorings it would on the full hypergraph:
 the size-2 edges are the same, and every hyperedge contains a minimal one.
-Apexes become integer ranks once per axis, read from the oracle's coverage
-table, so joins and covers are ints and bitmasks rather than Fractions.
+Domination and joins both ask which octants contain a point (an apex or a
+join), and oracle.covers answers it with one bitmask per point.
 
 The triangle view stays: compute_cmax places the plane that rendering
 draws, and project and color_triangles remain for tests and for studying
@@ -32,6 +32,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from .core import (
@@ -58,19 +59,12 @@ class DominationDAG:
     dominator_of: dict  # dominated index -> nondominated dominator index
 
 
-def _rank_table(octants: Sequence[Octant]) -> tuple:
-    """ranks[d][i]: rank of a_i on axis d; below[d][t]: mask of ranks <= t.
-
-    The octants containing a point of ranks (tx, ty, tz) are then
-    below[0][tx] & below[1][ty] & below[2][tz]: the oracle's table over the
-    extents (a_i, None), read at its events.
-    """
-    ranks, below = [], []
-    for d in range(3):
-        _, slot, masks = oracle._axis_table([(o.apex[d], None) for o in octants])
-        ranks.append([slot[o.apex[d]] // 2 for o in octants])
-        below.append(masks[1::2])
-    return ranks, below
+def _covers(octants: Sequence[Octant], points: Iterable[tuple]) -> list:
+    """Masks of the octants containing each point: oracle.covers over the
+    extents (a_i, None) per axis."""
+    return oracle.covers(
+        [[(o.apex[d], None) for o in octants] for d in range(3)], points
+    )
 
 
 def compute_domination(octants: Sequence[Octant]) -> DominationDAG:
@@ -83,15 +77,15 @@ def compute_domination(octants: Sequence[Octant]) -> DominationDAG:
     """
     if not octants:
         raise ValueError("no octants")
-    (rx, ry, rz), (bx, by, bz) = _rank_table(octants)
+    apexes = [o.apex for o in octants]
     n = len(octants)
-    covers = [bx[rx[j]] & by[ry[j]] & bz[rz[j]] for j in range(n)]
-    twins = Counter(zip(rx, ry, rz))
+    covers = _covers(octants, apexes)
+    twins = Counter(apexes)
     nondominated = tuple(
         j
         for j in range(n)
         if covers[j] & ((1 << j) - 1) == 0
-        and covers[j].bit_count() == twins[rx[j], ry[j], rz[j]]
+        and covers[j].bit_count() == twins[apexes[j]]
     )
     kept = sum(1 << j for j in nondominated)
     dominator_of: Dict[int, int] = {}
@@ -168,18 +162,15 @@ def join_cover_edges(octants: Sequence[Octant]) -> List[frozenset]:
 
     Each hyperedge containing i and j contains the cover of join(a_i, a_j)
     (see the module docstring), so the minimal hyperedges are the minimal
-    join covers. On the rank table the cover of a join is three lookups and
-    two ands. Candidates are filtered in order of size against the minimal
-    edges accepted so far; on the benchmark antichains that is cheaper than
-    converting and sorting every cover, and the search checks fewer edges.
+    join covers. Candidates are filtered in order of size against the
+    minimal edges accepted so far; on the benchmark antichains that is
+    cheaper than converting and sorting every cover, and the search checks
+    fewer edges.
     """
-    (rx, ry, rz), (bx, by, bz) = _rank_table(octants)
-    m = len(octants)
-    covers = {
-        bx[max(rx[i], rx[j])] & by[max(ry[i], ry[j])] & bz[max(rz[i], rz[j])]
-        for i in range(m)
-        for j in range(i + 1, m)
+    joins = {
+        tuple(map(max, o.apex, p.apex)) for o, p in combinations(octants, 2)
     }
+    covers = set(_covers(octants, joins))
     minimal: List[int] = []
     for cover in sorted(covers, key=int.bit_count):
         if not any(e & cover == e for e in minimal):
@@ -310,7 +301,7 @@ def color_octants(instance: Instance, size_cap: int = DEFAULT_SIZE_CAP) -> Color
     if instance.m == 0:
         return Coloring((), 4)
 
-    scaled = instance.frame.objects  # ranks, joins and covers read ints
+    scaled = instance.frame.objects  # apexes, joins and covers are ints
     dag = compute_domination(scaled)
     kept = dag.nondominated
     # The search is exponential: it stays capped at the default whatever

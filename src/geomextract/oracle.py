@@ -10,14 +10,15 @@ One table per axis (_axis_table) holds the sorted events and the mask of
 objects covering each event and each open gap around them; the covering
 set at a point is the AND of its per-axis masks. The grid takes one
 candidate per distinct mask (an event, a gap midpoint, or a sentinel past
-the extreme event on an open side) and so witnesses every cell;
-coverer_masks serves extract, check_cover and the exact covers, and the
-octant ranks come from the same table. That claim is not assumed: it is
-tested against dense sampling and core.depth. Tables, grid and masks read
-the instance's integer frame (core.Frame, unit L), where events are even
-integers and gap midpoints integers. Every grid witness is re-checked with
-core's membership test (core.MEMBERSHIP) on the frame's objects,
-independently of the masks, and handed back as Fraction(W, L).
+the extreme event on an open side) and so witnesses every cell. That
+claim is not assumed: it is tested against dense sampling and core.depth.
+covers is the one lookup of the same masks at given points: coverer_masks
+reads it at the target points for extract, check_cover and the exact
+covers, and the octants at their apexes and apex joins. Tables, grid and
+masks read the instance's integer frame (core.Frame, unit L), where events
+are even integers and gap midpoints integers. Every grid witness is
+re-checked with core's membership test (core.MEMBERSHIP) on the frame's
+objects, independently of the masks, and handed back as Fraction(W, L).
 
 Plane triangles (octant projections) have a slanted side and are
 enumerated separately, by horizontal slices.
@@ -136,25 +137,27 @@ def _mask_members(mask: int) -> frozenset:
     return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def coverer_masks(instance: Instance, chosen: Optional[Sequence[int]] = None) -> list:
-    """Per target point, in T order, the mask of the objects covering it.
+def covers(extents: Sequence[Sequence[tuple]], points: Iterable[tuple]) -> list:
+    """Per point, the mask of the objects covering it (bit i for object i).
 
-    Bit k stands for chosen[k] (default: every object, so for object k).
-    A point's mask is the AND of one lookup per axis: a dict hit on an
-    event, or a bisect into the gap holding the coordinate.
+    extents[d][i] is object i's (lo, hi) on axis d, None where open, on the
+    points' frame. A point's mask is the AND of one lookup per axis: a dict
+    hit on an event, or a bisect into the gap holding the coordinate.
     """
-    extents = instance.frame.extents
-    if chosen is not None:
-        extents = [[ext[i] for i in chosen] for ext in extents]
     tables = [_axis_table(ext) for ext in extents]
     out = []
-    for p in instance.frame.points:
+    for p in points:
         mask = -1
         for x, (events, slot, masks) in zip(p, tables):
             # event slots are odd, so a miss (None) falls through to the gap
             mask &= masks[slot.get(x) or 2 * bisect_left(events, x)]
         out.append(mask)
     return out
+
+
+def coverer_masks(instance: Instance) -> list:
+    """Per target point, in T order, the mask of the objects covering it."""
+    return covers(instance.frame.extents, instance.frame.points)
 
 
 def _grid_edges(extents: Sequence[Sequence[tuple]], unit: int) -> dict:
@@ -344,11 +347,12 @@ def check_cover(instance: Instance, subset: Iterable[int]) -> CoverVerdict:
 
     Reports the first uncovered point in T order; T was validated already.
     """
-    chosen = sorted(set(subset))
-    for i in chosen:
+    chosen = 0
+    for i in sorted(set(subset)):
         if not 0 <= i < instance.m:
             raise IndexError(f"unknown object index {i}")
-    for k, mask in enumerate(coverer_masks(instance, chosen)):
-        if not mask:
+        chosen |= 1 << i
+    for k, mask in enumerate(coverer_masks(instance)):
+        if not mask & chosen:
             return CoverVerdict(False, instance.points[k], k)
     return CoverVerdict(True)

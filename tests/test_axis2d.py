@@ -125,7 +125,7 @@ def test_dominating_ray_contains_all_on_its_line():
         Ray(rng.randint(1, 4), (F(rng.randint(0, 4)), F(rng.randint(0, 4))))
         for _ in range(30)
     ]
-    doms = dominating_rays(rays, range(len(rays)))
+    doms = dominating_rays(rays)
     from geomextract import contains
 
     for d in doms:

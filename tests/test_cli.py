@@ -478,3 +478,68 @@ def test_failed_rename_names_the_temp_file(tmp_path, capsys, monkeypatch):
     assert code == 2
     assert str(kept) in err
     assert parse_coloring(kept.read_text()).colors
+
+
+def _empty_path_run(tmp_path, capsys, monkeypatch, *argv):
+    # Runs from tmp_path/work on the interval pair at tmp_path/pair.json
+    # ("{inst}" in argv) and returns the exit code, stdout and stderr; an
+    # empty --out must create nothing, neither in the working directory nor
+    # beside it.
+    inst = tmp_path / "pair.json"
+    run(capsys, "gen", "--kind", "interval-pair", "--out", str(inst))
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    code = main([str(inst) if a == "{inst}" else a for a in argv])
+    captured = capsys.readouterr()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pair.json", "work"]
+    assert list(work.iterdir()) == []
+    return code, captured.out, captured.err
+
+
+def test_gen_empty_out_exit_2(tmp_path, capsys, monkeypatch):
+    code, out, err = _empty_path_run(
+        tmp_path, capsys, monkeypatch, "gen", "--kind", "kbox", "--out", "")
+    assert code == 2
+    assert out == ""
+    assert err == "error: cannot write an empty path\n"
+
+
+def test_color_empty_out_exit_2(tmp_path, capsys, monkeypatch):
+    code, out, err = _empty_path_run(
+        tmp_path, capsys, monkeypatch, "color", "{inst}", "--out", "")
+    assert (code, out, err) == (2, "", "error: cannot write an empty path\n")
+
+
+def test_extract_empty_coloring_or_out_exit_2(tmp_path, capsys, monkeypatch):
+    code, out, err = _empty_path_run(
+        tmp_path, capsys, monkeypatch, "extract", "{inst}", "--coloring", "")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot read :")
+    code = main(["extract", str(tmp_path / "pair.json"), "--out", ""])
+    assert capsys.readouterr().err == "error: cannot write an empty path\n"
+    assert code == 2
+    assert list((tmp_path / "work").iterdir()) == []
+
+
+def test_verify_empty_coloring_exit_2_and_empty_cover_kept(tmp_path, capsys, monkeypatch):
+    code, out, err = _empty_path_run(
+        tmp_path, capsys, monkeypatch, "verify", "{inst}", "--coloring", "")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot read :")
+    # --cover "" is the empty cover, which misses the pair's target point.
+    code, report, _ = run(capsys, "verify", str(tmp_path / "pair.json"), "--cover", "")
+    assert code == 0
+    assert report["result"]["verdict"] == "uncovered"
+    assert report["result"]["point_index"] == 0
+
+
+def test_render_empty_coloring_or_out_exit_2(tmp_path, capsys, monkeypatch):
+    code, out, err = _empty_path_run(
+        tmp_path, capsys, monkeypatch, "render", "{inst}", "--coloring", "")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot read :")
+    code = main(["render", str(tmp_path / "pair.json"), "--out", ""])
+    assert capsys.readouterr() == ("", "error: cannot write an empty path\n")
+    assert code == 2
+    assert list((tmp_path / "work").iterdir()) == []

@@ -31,7 +31,8 @@ from geomextract import (
     total_weight,
 )
 from geomextract.core import Interval, Octant, Ray, Segment
-from geomextract.extraction import _min_weight_set_cover, _coverer_sets
+from geomextract.extraction import _min_weight_set_cover
+from geomextract.oracle import coverer_masks
 
 
 def test_extract_interval_pair_achieves_half():
@@ -154,14 +155,13 @@ def test_vertex_cover_path_matches_generic_search():
         seed += 1
         if inst.m > 16 or not inst.points:
             continue
-        two = [p for s, p in zip(_coverer_sets(inst), inst.points) if len(s) == 2]
+        two = [p for m, p in zip(coverer_masks(inst), inst.points) if m.bit_count() == 2]
         if not two:
             continue
         cases.append(make_instance(inst.cls, inst.objects, inst.weights, two))
     for inst in cases:
         cover_fast, w_fast = exact_min_cover(inst)
-        sets = _coverer_sets(inst)
-        cover_generic = _min_weight_set_cover(sets, inst.weights)
+        cover_generic = _min_weight_set_cover(coverer_masks(inst), inst.weights)
         w_generic = total_weight(inst, cover_generic)
         assert w_fast == w_generic
         assert check_cover(inst, cover_fast).covered

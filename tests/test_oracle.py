@@ -211,7 +211,6 @@ def test_coverer_masks_match_depth(cls, data):
 
     masks = [mask_of(p, indices) for p in points]
     assert oracle.coverer_masks(inst) == masks
-    assert oracle.coverer_masks(inst, chosen) == [mask_of(p, chosen) for p in points]
 
     # The readers of the masks agree with depth as well.
     missed = [k for k, p in enumerate(points) if not mask_of(p, chosen)]

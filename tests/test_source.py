@@ -59,3 +59,14 @@ def test_lcm_only_in_the_instance_frame():
                 ):
                     callers.add(f"{path.name}:{func.name}")
     assert callers == {"core.py:frame"}
+
+
+def test_axis_table_read_only_in_oracle():
+    # One coverage lookup: everything outside the oracle asks oracle.covers
+    # or coverer_masks, and nothing else decodes the per-axis table's slots.
+    readers = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if "_axis_table" in (getattr(node, "id", None), getattr(node, "attr", None)):
+                readers.add(path.name)
+    assert readers == {"oracle.py"}
