@@ -310,7 +310,10 @@ def _box(obj: GeomObject) -> tuple:
 
 def _scale(unit: int, v):
     """The integer v * unit (v a multiple of 1/unit); None stays None."""
-    return None if v is None else v.numerator * (unit // v.denominator)
+    if v is None:
+        return None
+    n, d = v.as_integer_ratio()
+    return n * (unit // d)
 
 
 def _scaled(obj: GeomObject, s) -> GeomObject:

@@ -4,7 +4,7 @@ Pipeline: discard dominated octants (an octant dominates another when it
 contains it, i.e. its apex is coordinatewise smaller), color the
 nondominated ones against the minimal hyperedges of their arrangement, give
 each dominated octant a color different from its chosen dominator, and
-verify the whole coloring against the grid oracle before returning it.
+verify the whole coloring at the same-color apex joins before returning it.
 
 The minimal hyperedges come from pairwise apex joins. A point covered by
 octants i and j lies above join(a_i, a_j), the coordinatewise max of their
@@ -16,6 +16,15 @@ and prunes exactly the partial colorings it would on the full hypergraph:
 the size-2 edges are the same, and every hyperedge contains a minimal one.
 Domination and joins both ask which octants contain a point (an apex or a
 join), and oracle.covers answers it with one bitmask per point.
+
+The same lemma verifies a finished coloring of all the octants, dominated
+ones included: it is proper iff the join of every same-colored pair is
+covered by an octant of another color (Keszegh and Pálvölgyi, "Octants are
+cover-decomposable"). check_at_joins asks core.depth at those joins, on the
+document's Fractions, so the check shares nothing with oracle.covers, which
+built the edges the search colored. At most m(m-1)/2 depth calls replace a
+walk over every cell of the 3D grid; verify --coloring and the tests keep
+the grid oracle.
 
 The triangle view stays: compute_cmax places the plane that rendering
 draws, and project and color_triangles remain for tests and for studying
@@ -35,6 +44,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, Iterable, List, Optional, Sequence
 
+from . import core, oracle
 from .core import (
     AlgorithmInvariantError,
     ClassMismatchError,
@@ -46,9 +56,10 @@ from .core import (
     PlaneTriangle,
     SizeCapError,
 )
-from . import oracle
 
 DEFAULT_SIZE_CAP = 40
+# rec calls one exact coloring search may make before it raises SizeCapError
+SEARCH_NODE_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -210,7 +221,8 @@ def _search_coloring(
     Greedy coloring along a degeneracy order of the size-2 edge graph first;
     if that leaves a monochromatic edge or spills over max_colors, exact
     backtracking over all colorings pruned by the size-2 edges and checked
-    against every edge.
+    against every edge. The backtracking raises SizeCapError once it has
+    visited more than SEARCH_NODE_BUDGET nodes.
     """
     if n == 0:
         return []
@@ -239,6 +251,7 @@ def _search_coloring(
     for e in edge_tuples:
         by_last[max(pos[v] for v in e)].append(e)
     colors = [0] * n
+    nodes = 0
 
     def feasible(k: int) -> bool:
         for e in by_last[k]:
@@ -247,6 +260,12 @@ def _search_coloring(
         return True
 
     def rec(k: int, used: int) -> bool:
+        nonlocal nodes
+        nodes += 1
+        if nodes > SEARCH_NODE_BUDGET:
+            raise SizeCapError(
+                f"coloring search passed its budget of {SEARCH_NODE_BUDGET} nodes"
+            )
         if k == n:
             return True
         v = sequence[k]
@@ -292,8 +311,28 @@ def color_triangles(
     return Coloring(tuple(colors), 4)
 
 
+def check_at_joins(instance: Instance, coloring: Coloring) -> oracle.ProperVerdict:
+    """Proper iff no same-colored pair's apex join has a one-color cover.
+
+    Pairs are taken in index order, each join once; a failure reports the
+    join as witness and its cover, from core.depth, as the edge.
+    """
+    colors = coloring.colors
+    apexes = [o.apex for o in instance.objects]
+    seen = set()
+    for i, j in combinations(range(instance.m), 2):
+        if colors[i] == colors[j]:
+            p = tuple(map(max, apexes[i], apexes[j]))
+            if p not in seen:
+                seen.add(p)
+                cover = core.depth(instance, p)[1]
+                if all(colors[k] == colors[i] for k in cover):
+                    return oracle.ProperVerdict(False, cover, p)
+    return oracle.ProperVerdict(True)
+
+
 def color_octants(instance: Instance, size_cap: int = DEFAULT_SIZE_CAP) -> Coloring:
-    """Proper 4-coloring of an octant instance, oracle-verified before return."""
+    """Proper 4-coloring of an octant instance, verified at the apex joins."""
     if instance.cls is not ObjectClass.OCTANTS:
         raise ClassMismatchError(f"expected octants, got {instance.cls.value}")
     if instance.m > size_cap:
@@ -327,7 +366,7 @@ def color_octants(instance: Instance, size_cap: int = DEFAULT_SIZE_CAP) -> Color
         )
 
     coloring = Coloring(tuple(colors), 4)
-    verdict = oracle.check_proper(instance, coloring, size_cap=size_cap)
+    verdict = check_at_joins(instance, coloring)
     if not verdict.proper:
         raise AlgorithmInvariantError(
             "octant coloring failed final properness verification",

@@ -13,10 +13,11 @@ candidate per distinct mask (an event, a gap midpoint, or a sentinel past
 the extreme event on an open side) and so witnesses every cell. That
 claim is not assumed: it is tested against dense sampling and core.depth.
 covers is the one lookup of the same masks at given points: coverer_masks
-reads it at the target points for extract, check_cover and the exact
-covers, and the octants at their apexes and apex joins. Tables, grid and
-masks read the instance's integer frame (core.Frame, unit L), where events
-are even integers and gap midpoints integers. Every grid witness is
+reads it at the target points for extract and the exact covers,
+check_cover at the same points over the subset's extents only, and the
+octants at their apexes and apex joins. Tables, grid and masks read the
+instance's integer frame (core.Frame, unit L), where events are even
+integers and gap midpoints integers. Every grid witness is
 re-checked with core's membership test (core.MEMBERSHIP) on the frame's
 objects, independently of the masks, and handed back as Fraction(W, L).
 
@@ -346,13 +347,15 @@ def check_cover(instance: Instance, subset: Iterable[int]) -> CoverVerdict:
     """True iff every point of T lies in some object of the subset.
 
     Reports the first uncovered point in T order; T was validated already.
+    The coverage tables hold the subset's extents only.
     """
-    chosen = 0
-    for i in sorted(set(subset)):
+    chosen = sorted(set(subset))
+    for i in chosen:
         if not 0 <= i < instance.m:
             raise IndexError(f"unknown object index {i}")
-        chosen |= 1 << i
-    for k, mask in enumerate(coverer_masks(instance)):
-        if not mask & chosen:
+    frame = instance.frame
+    extents = [[axis[i] for i in chosen] for axis in frame.extents]
+    for k, mask in enumerate(covers(extents, frame.points)):
+        if not mask:
             return CoverVerdict(False, instance.points[k], k)
     return CoverVerdict(True)

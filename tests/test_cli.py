@@ -5,7 +5,7 @@ import threading
 
 import pytest
 
-from geomextract import gen_kbox, gen_octant4, parse_coloring, parse_instance, render_svg
+from geomextract import gen_kbox, gen_octant4, octants, parse_coloring, parse_instance, render_svg
 from geomextract.cli import main
 from geomextract.docio import instance_to_json
 
@@ -152,6 +152,16 @@ def test_explicit_zero_caps_are_honored(tmp_path, capsys):
     assert code == 0
     assert report["result"]["chromatic"] is None
     assert "chromatic skipped" in report["result"]["notes"]
+
+
+def test_bounds_exits_3_past_the_search_node_budget(tmp_path, capsys, monkeypatch):
+    # The 4-ray fan needs 3 colors, so exact_chromatic backtracks at k = 2.
+    p = tmp_path / "fan.json"
+    run(capsys, "gen", "--kind", "rayfan", "--k", "4", "--out", str(p))
+    monkeypatch.setattr(octants, "SEARCH_NODE_BUDGET", 0)
+    code, report, _ = run(capsys, "bounds", str(p))
+    assert code == 3
+    assert report is None
 
 
 def test_bounds_chromatic_cap_reaches_the_oracle(tmp_path, capsys):

@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction as F
+from operator import add
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geomextract import (
     Coloring,
@@ -11,6 +13,7 @@ from geomextract import (
     color_triangles,
     compute_cmax,
     compute_domination,
+    depth,
     enumerate_hyperedges,
     gen_octant4,
     gen_random,
@@ -19,6 +22,7 @@ from geomextract import (
 )
 from geomextract import octants, oracle
 from geomextract.core import (
+    AlgorithmInvariantError,
     NoFourColoringError,
     Octant,
     PlaneTriangle,
@@ -354,25 +358,84 @@ def test_colorings_frozen_antichains():
         assert "".join(map(str, col.colors)) == want, n
 
 
-def test_color_octants_enumerates_the_grid_once(monkeypatch):
-    calls = []
-    enumerate_grid = oracle.enumerate_hyperedges
-
-    def counting(instance, size_cap=oracle.DEFAULT_SIZE_CAP):
-        calls.append(instance.m)
-        return enumerate_grid(instance, size_cap)
-
+def test_color_octants_never_enumerates_the_grid(monkeypatch):
     def forbidden(*args, **kwargs):
-        raise AssertionError("triangle view called on the coloring path")
+        raise AssertionError("grid or triangle view called on the coloring path")
 
-    monkeypatch.setattr(oracle, "enumerate_hyperedges", counting)
+    monkeypatch.setattr(oracle, "enumerate_hyperedges", forbidden)
     monkeypatch.setattr(oracle, "enumerate_triangle_hyperedges", forbidden)
     monkeypatch.setattr(octants, "project", forbidden)
     monkeypatch.setattr(octants, "color_triangles", forbidden)
     inst = make_instance(ObjectClass.OCTANTS, [_oct(0, 0, 0), _oct(1, 1, 1)]
                          + list(gen_octant4().objects))
-    color_octants(inst)
-    assert calls == [inst.m]
+    col = color_octants(inst)
+    monkeypatch.undo()
+    assert check_proper(inst, col).proper
+
+
+_coord = st.builds(F, st.integers(-3, 6), st.sampled_from([1, 1, 2, 3]))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_join_verdict_matches_grid(data):
+    # Fresh apexes on fractional coordinates, twins and dominated octants;
+    # colorings drawn at random over 1-4 colors, or the colorer's output
+    # with one entry redrawn, so proper and near-proper ones are common.
+    octs = [Octant(data.draw(st.tuples(_coord, _coord, _coord)))]
+    for _ in range(data.draw(st.integers(0, 11))):
+        kind = data.draw(st.sampled_from(["fresh", "twin", "dominated"]))
+        if kind == "fresh":
+            octs.append(Octant(data.draw(st.tuples(_coord, _coord, _coord))))
+        elif kind == "twin":
+            octs.append(data.draw(st.sampled_from(octs)))
+        else:
+            base = data.draw(st.sampled_from(octs)).apex
+            step = st.sampled_from([F(0), F(1, 2), F(1)])
+            octs.append(Octant(tuple(map(add, base, data.draw(st.tuples(step, step, step))))))
+    inst = make_instance(ObjectClass.OCTANTS, octs)
+    n = len(octs)
+    if data.draw(st.booleans()):
+        kappa = data.draw(st.integers(1, 4))
+        colors = data.draw(st.lists(st.integers(1, kappa), min_size=n, max_size=n))
+    else:
+        kappa, colors = 4, list(color_octants(inst).colors)
+        colors[data.draw(st.integers(0, n - 1))] = data.draw(st.integers(1, 4))
+    coloring = Coloring(tuple(colors), kappa)
+
+    got = octants.check_at_joins(inst, coloring)
+    assert got.proper == check_proper(inst, coloring).proper
+    if not got.proper:
+        assert got.edge == depth(inst, got.witness)[1]
+        assert len(got.edge) >= 2 and len({colors[i] for i in got.edge}) == 1
+
+
+def test_improper_search_result_raises_with_a_join_witness(monkeypatch):
+    # octant4 colored all 1 by the search, plus an octant dominated by
+    # octant 0 that therefore gets color 2
+    objects = list(gen_octant4().objects) + [_oct(1, 5, 4)]
+    inst = make_instance(ObjectClass.OCTANTS, objects)
+    colors = [1, 1, 1, 1, 2]
+    monkeypatch.setattr(octants, "_search_coloring",
+                        lambda n, edges, max_colors: [1] * n)
+    with pytest.raises(AlgorithmInvariantError) as info:
+        color_octants(inst)
+    witness = info.value.witness
+    edge = depth(inst, witness)[1]
+    assert len(edge) >= 2 and {colors[i] for i in edge} == {1}
+    assert any(witness == tuple(map(max, objects[i].apex, objects[j].apex))
+               for i in edge for j in edge if i < j)
+
+
+def test_search_node_budget_raises_size_cap(monkeypatch):
+    # A triangle of pairs is not 2-colorable: greedy takes three colors and
+    # the backtracking visits exactly three nodes before giving up.
+    triangle = [frozenset({0, 1}), frozenset({1, 2}), frozenset({0, 2})]
+    monkeypatch.setattr(octants, "SEARCH_NODE_BUDGET", 3)
+    assert octants._search_coloring(3, triangle, max_colors=2) is None
+    monkeypatch.setattr(octants, "SEARCH_NODE_BUDGET", 2)
+    with pytest.raises(SizeCapError):
+        octants._search_coloring(3, triangle, max_colors=2)
 
 
 def test_exhausted_search_reports_kept_octants(monkeypatch):
