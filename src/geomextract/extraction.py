@@ -9,16 +9,20 @@ is returned.
 The exact routines are desk-scale solvers used as oracles for the tightness
 instances: minimum-weight cover of the target points, the exact extraction
 number W / (W - mincover) it induces, and the exact proper chromatic number
-of the induced hypergraph.
+of the induced hypergraph. Both cover searches read one mask model: the
+inclusion-minimal coverer masks of the targets (oracle.minimal_masks; a
+cover of those covers every target) and hits[i], the mask of those points
+object i covers. They start from one greedy cover, and like the coloring
+search they raise SizeCapError past octants.SEARCH_NODE_BUDGET nodes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, FrozenSet, Sequence, Tuple
 
-from . import oracle
+from . import octants, oracle
 from .core import (
     AlgorithmInvariantError,
     Coloring,
@@ -91,135 +95,109 @@ def extract(instance: Instance, coloring: Coloring) -> ExtractionResult:
 # Exact minimum-weight cover
 # ---------------------------------------------------------------------------
 
+def _greedy(hits: Sequence[int], weights: Sequence[Fraction], uncovered: int) -> int:
+    """Mask of a greedy cover of the uncovered points.
+
+    Each step takes the least weight per newly covered point, ties to the
+    lowest index.
+    """
+    chosen = 0
+    while uncovered:
+        pick = min(
+            (i for i, h in enumerate(hits) if h & uncovered),
+            key=lambda i: (weights[i] / (hits[i] & uncovered).bit_count(), i),
+        )
+        chosen |= 1 << pick
+        uncovered &= ~hits[pick]
+    return chosen
+
+
 def _min_weight_vertex_cover(
-    edges: Sequence[Tuple[int, int]], weights: Sequence[Fraction]
+    points: Sequence[int], hits: Sequence[int], weights: Sequence[Fraction]
 ) -> FrozenSet[int]:
-    """Exact minimum-weight vertex cover, branch and bound per component."""
-    adjacency: Dict[int, set] = {}
-    for u, v in edges:
-        adjacency.setdefault(u, set()).add(v)
-        adjacency.setdefault(v, set()).add(u)
+    """Exact minimum-weight vertex cover, branch and bound per component.
 
-    # connected components of the conflict graph
-    components = []
-    seen: set = set()
-    for start in sorted(adjacency):
-        if start in seen:
-            continue
-        stack, comp = [start], set()
-        while stack:
-            v = stack.pop()
-            if v in comp:
-                continue
-            comp.add(v)
-            stack.extend(adjacency[v] - comp)
-        seen |= comp
-        components.append(comp)
+    Every point has two coverers, so points[k] is an edge {u, v} (u < v) of
+    the conflict graph, in ascending (u, v) order, and hits[i] is the mask
+    of the edges at i. A component grows from its lowest edge through hits.
+    """
+    tick = octants.node_budget("vertex cover search")
+    members = oracle._mask_members
+    lightest = [min(weights[i] for i in members(e)) for e in points]
 
-    def matching_bound(uncovered: frozenset) -> Fraction:
-        used: set = set()
-        bound = Fraction(0)
-        for u, v in sorted(uncovered):
-            if u not in used and v not in used:
-                used.update((u, v))
-                bound += min(weights[u], weights[v])
+    def matching_bound(uncovered: int) -> Fraction:
+        # a greedy matching on the uncovered edges, in ascending order
+        used, bound = 0, Fraction(0)
+        for k in range(uncovered.bit_length()):
+            if uncovered >> k & 1 and not points[k] & used:
+                used |= points[k]
+                bound += lightest[k]
         return bound
 
-    def greedy(uncovered: frozenset) -> set:
-        cover: set = set()
-        remaining = set(uncovered)
-        while remaining:
-            degree: Dict[int, int] = {}
-            for u, v in remaining:
-                degree[u] = degree.get(u, 0) + 1
-                degree[v] = degree.get(v, 0) + 1
-            pick = min(degree, key=lambda x: (weights[x] / degree[x], x))
-            cover.add(pick)
-            remaining = {e for e in remaining if pick not in e}
-        return cover
+    best: list = []
 
-    cover_total: set = set()
-    for comp in components:
-        comp_edges = frozenset(
-            (min(u, v), max(u, v)) for u, v in edges if u in comp
-        )
-        init = greedy(comp_edges)
-        best = [sum((weights[v] for v in init), Fraction(0)), set(init)]
+    def rec(uncovered: int, cur_w: Fraction, chosen: int) -> None:
+        tick()
+        if not uncovered:
+            if cur_w < best[0]:
+                best[:] = cur_w, chosen
+            return
+        if cur_w + matching_bound(uncovered) >= best[0]:
+            return
+        edge = points[(uncovered & -uncovered).bit_length() - 1]
+        u_bit = edge & -edge
+        u = u_bit.bit_length() - 1
+        # u in the cover
+        rec(uncovered & ~hits[u], cur_w + weights[u], chosen | u_bit)
+        # u excluded: every uncovered neighbor of u must enter
+        forced = 0
+        for k in members(hits[u] & uncovered):
+            forced |= points[k]
+        forced &= ~u_bit
+        for x in members(forced):
+            uncovered &= ~hits[x]
+            cur_w += weights[x]
+        rec(uncovered, cur_w, chosen | forced)
 
-        def rec(uncovered: frozenset, cur_w: Fraction, chosen: set) -> None:
-            if not uncovered:
-                if cur_w < best[0]:
-                    best[0], best[1] = cur_w, set(chosen)
-                return
-            if cur_w + matching_bound(uncovered) >= best[0]:
-                return
-            u, v = min(uncovered)
-            # u in the cover
-            rec(
-                frozenset(e for e in uncovered if u not in e),
-                cur_w + weights[u],
-                chosen | {u},
-            )
-            # u excluded: every uncovered neighbor of u must enter
-            forced = {b if a == u else a for a, b in uncovered if u in (a, b)}
-            rec(
-                frozenset(
-                    e for e in uncovered if not (set(e) & forced)
-                ),
-                cur_w + sum((weights[x] for x in forced), Fraction(0)),
-                chosen | forced,
-            )
-
-        rec(comp_edges, Fraction(0), set())
-        cover_total |= best[1]
-    return frozenset(cover_total)
+    cover = 0
+    todo = (1 << len(points)) - 1
+    while todo:
+        comp, new = 0, todo & -todo
+        while new:
+            comp |= new
+            for k in members(new):
+                e = points[k]
+                new |= hits[(e & -e).bit_length() - 1] | hits[e.bit_length() - 1]
+            new &= ~comp
+        todo &= ~comp
+        init = _greedy(hits, weights, comp)
+        best[:] = sum((weights[i] for i in members(init)), Fraction(0)), init
+        rec(comp, Fraction(0), 0)
+        cover |= best[1]
+    return members(cover)
 
 
 def _min_weight_set_cover(
-    point_masks: Sequence[int], weights: Sequence[Fraction]
+    points: Sequence[int], hits: Sequence[int], weights: Sequence[Fraction]
 ) -> FrozenSet[int]:
     """Exact minimum-weight set cover by branching on a hardest point.
 
-    point_masks[k] is the mask of the objects covering point k. States are
-    memoized by their mask of uncovered points: a path arriving no cheaper
-    than a previous visit is pruned.
+    points[k] is the mask of the objects covering point k, inclusion-minimal
+    and sorted by (size, members), so the lowest uncovered point is a
+    hardest one; hits[i] is the mask of the points object i covers. States
+    are memoized by their mask of uncovered points: a path arriving no
+    cheaper than a previous visit is pruned.
     """
+    tick = octants.node_budget("set cover search")
     members = oracle._mask_members
-    # Covering a point with a subset coverer-set also covers every point
-    # whose coverer-set is a superset; keep only minimal ones. Sorted by
-    # (size, members), the lowest uncovered point is a hardest one.
-    minimal: List[int] = []
-    for s in sorted(
-        set(point_masks), key=lambda s: (s.bit_count(), sorted(members(s)))
-    ):
-        if not any(t & s == t for t in minimal):
-            minimal.append(s)
-    if not minimal:
-        return frozenset()
-
-    hits = [0] * len(weights)  # hits[i]: mask of the minimal points i covers
-    for k, s in enumerate(minimal):
-        for i in members(s):
-            hits[i] |= 1 << k
-    branches = [sorted(members(s), key=lambda i: (weights[i], i)) for s in minimal]
-
-    def greedy() -> int:
-        chosen = 0
-        uncovered = (1 << len(minimal)) - 1
-        while uncovered:
-            pick = min(
-                (i for i, h in enumerate(hits) if h & uncovered),
-                key=lambda i: (weights[i] / (hits[i] & uncovered).bit_count(), i),
-            )
-            chosen |= 1 << pick
-            uncovered &= ~hits[pick]
-        return chosen
-
-    init = greedy()
+    branches = [sorted(members(s), key=lambda i: (weights[i], i)) for s in points]
+    everything = (1 << len(points)) - 1
+    init = _greedy(hits, weights, everything)
     best = [sum((weights[i] for i in members(init)), Fraction(0)), init]
     visited: Dict[int, Fraction] = {}
 
     def rec(uncovered: int, cur_w: Fraction, chosen: int) -> None:
+        tick()
         if not uncovered:
             if cur_w < best[0]:
                 best[0], best[1] = cur_w, chosen
@@ -234,14 +212,17 @@ def _min_weight_set_cover(
         for i in branches[point]:
             rec(uncovered & ~hits[i], cur_w + weights[i], chosen | 1 << i)
 
-    rec((1 << len(minimal)) - 1, Fraction(0), 0)
+    rec(everything, Fraction(0), 0)
     return members(best[1])
 
 
 def exact_min_cover(
     instance: Instance, size_cap: int = DEFAULT_COVER_CAP
 ) -> Tuple[FrozenSet[int], Fraction]:
-    """Minimum-weight subset of objects covering every target point."""
+    """Minimum-weight subset of objects covering every target point.
+
+    The vertex cover runs iff every target has exactly two coverers.
+    """
     if instance.m > size_cap:
         raise SizeCapError(f"{instance.m} objects exceed cap {size_cap}")
     masks = oracle.coverer_masks(instance)
@@ -250,11 +231,16 @@ def exact_min_cover(
             raise UncoverablePointError(
                 f"target point {p} is covered by no object", point=p
             )
+    points = oracle.minimal_masks(masks)
+    hits = [0] * instance.m  # hits[i]: mask of the minimal points i covers
+    for k, s in enumerate(points):
+        for i in oracle._mask_members(s):
+            hits[i] |= 1 << k
     if all(mask.bit_count() == 2 for mask in masks):
-        edges = sorted({((m & -m).bit_length() - 1, m.bit_length() - 1) for m in masks})
-        cover = _min_weight_vertex_cover(edges, instance.weights)
+        solve = _min_weight_vertex_cover
     else:
-        cover = _min_weight_set_cover(masks, instance.weights)
+        solve = _min_weight_set_cover
+    cover = solve(points, hits, instance.weights)
     return cover, total_weight(instance, cover)
 
 

@@ -41,8 +41,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import Dict, Iterable, List, Optional, Sequence
+from itertools import combinations, count
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from . import core, oracle
 from .core import (
@@ -58,7 +58,7 @@ from .core import (
 )
 
 DEFAULT_SIZE_CAP = 40
-# rec calls one exact coloring search may make before it raises SizeCapError
+# nodes one exact search (coloring or cover) may visit before SizeCapError
 SEARCH_NODE_BUDGET = 1_000_000
 
 
@@ -173,21 +173,13 @@ def join_cover_edges(octants: Sequence[Octant]) -> List[frozenset]:
 
     Each hyperedge containing i and j contains the cover of join(a_i, a_j)
     (see the module docstring), so the minimal hyperedges are the minimal
-    join covers. Candidates are filtered in order of size against the
-    minimal edges accepted so far; on the benchmark antichains that is
-    cheaper than converting and sorting every cover, and the search checks
-    fewer edges.
+    join covers, as oracle.minimal_masks filters them for the exact covers.
     """
     joins = {
         tuple(map(max, o.apex, p.apex)) for o, p in combinations(octants, 2)
     }
-    covers = set(_covers(octants, joins))
-    minimal: List[int] = []
-    for cover in sorted(covers, key=int.bit_count):
-        if not any(e & cover == e for e in minimal):
-            minimal.append(cover)
-    edges = [oracle._mask_members(e) for e in minimal]
-    return sorted(edges, key=lambda e: (len(e), sorted(e)))
+    covers = _covers(octants, joins)
+    return [oracle._mask_members(e) for e in oracle.minimal_masks(covers)]
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +203,17 @@ def _degeneracy_order(n: int, adjacency: List[set]) -> List[int]:
 
 def _proper_on(edges: Iterable[frozenset], colors: List[int]) -> bool:
     return all(len({colors[i] for i in e}) >= 2 for e in edges)
+
+
+def node_budget(search: str) -> Callable[[], None]:
+    """A tick per node of one exact search, raising SizeCapError past the budget."""
+    nodes, budget = count(1), SEARCH_NODE_BUDGET
+
+    def tick() -> None:
+        if next(nodes) > budget:
+            raise SizeCapError(f"{search} passed its budget of {budget} nodes")
+
+    return tick
 
 
 def _search_coloring(
@@ -251,7 +254,7 @@ def _search_coloring(
     for e in edge_tuples:
         by_last[max(pos[v] for v in e)].append(e)
     colors = [0] * n
-    nodes = 0
+    tick = node_budget("coloring search")
 
     def feasible(k: int) -> bool:
         for e in by_last[k]:
@@ -260,12 +263,7 @@ def _search_coloring(
         return True
 
     def rec(k: int, used: int) -> bool:
-        nonlocal nodes
-        nodes += 1
-        if nodes > SEARCH_NODE_BUDGET:
-            raise SizeCapError(
-                f"coloring search passed its budget of {SEARCH_NODE_BUDGET} nodes"
-            )
+        tick()
         if k == n:
             return True
         v = sequence[k]

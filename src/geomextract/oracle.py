@@ -138,6 +138,20 @@ def _mask_members(mask: int) -> frozenset:
     return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
+def minimal_masks(masks: Iterable[int]) -> list:
+    """The inclusion-minimal distinct masks, sorted by (size, members).
+
+    Each mask is checked only against the kept masks of smaller size (a
+    distinct mask of its own size cannot lie inside it), and only the
+    survivors are sorted by members.
+    """
+    minimal: list = []
+    by_size = sorted(set(masks), key=int.bit_count)
+    for _, same_size in itertools.groupby(by_size, int.bit_count):
+        minimal += [s for s in same_size if not any(t & s == t for t in minimal)]
+    return sorted(minimal, key=lambda s: (s.bit_count(), sorted(_mask_members(s))))
+
+
 def covers(extents: Sequence[Sequence[tuple]], points: Iterable[tuple]) -> list:
     """Per point, the mask of the objects covering it (bit i for object i).
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -30,9 +31,10 @@ from geomextract import (
     make_instance,
     total_weight,
 )
-from geomextract.core import Interval, Octant, Ray, Segment
-from geomextract.extraction import _min_weight_set_cover
-from geomextract.oracle import coverer_masks
+from geomextract import extraction, octants
+from geomextract.core import GeomExtractError, Interval, Octant, Ray, Segment
+from geomextract.extraction import _min_weight_set_cover, _min_weight_vertex_cover
+from geomextract.oracle import coverer_masks, minimal_masks
 
 
 def test_extract_interval_pair_achieves_half():
@@ -143,6 +145,13 @@ def test_min_cover_size_cap():
         exact_min_cover(gen_kbox(3), size_cap=10)
 
 
+def _search_input(inst):
+    # the (points, hits) that exact_min_cover hands to either solver
+    points = minimal_masks(coverer_masks(inst))
+    hits = [sum(1 << k for k, s in enumerate(points) if s >> i & 1) for i in range(inst.m)]
+    return points, hits
+
+
 def test_vertex_cover_path_matches_generic_search():
     # dual route: every depth-exactly-2 instance must give the same optimum
     # through the conflict-graph solver and the generic set-cover solver
@@ -160,12 +169,86 @@ def test_vertex_cover_path_matches_generic_search():
             continue
         cases.append(make_instance(inst.cls, inst.objects, inst.weights, two))
     for inst in cases:
-        cover_fast, w_fast = exact_min_cover(inst)
-        cover_generic = _min_weight_set_cover(coverer_masks(inst), inst.weights)
-        w_generic = total_weight(inst, cover_generic)
-        assert w_fast == w_generic
+        points, hits = _search_input(inst)
+        cover_fast = _min_weight_vertex_cover(points, hits, inst.weights)
+        cover_generic = _min_weight_set_cover(points, hits, inst.weights)
+        assert exact_min_cover(inst) == (cover_fast, total_weight(inst, cover_fast))
+        assert total_weight(inst, cover_fast) == total_weight(inst, cover_generic)
         assert check_cover(inst, cover_fast).covered
         assert check_cover(inst, cover_generic).covered
+
+
+def _pair_inside_a_triple():
+    # Point 6/5 is covered by {0, 1} and point 7/4 by {0, 1, 2}: the only
+    # minimal mask has two bits, but a raw mask has three.
+    return make_instance(
+        ObjectClass.INTERVALS,
+        [Interval(F(0), F(2)), Interval(F(1), F(3)), Interval(F(3, 2), F(5))],
+        weights=[F(2), F(1), F(1)],
+        points=[(F(6, 5),), (F(7, 4),)],
+    )
+
+
+def test_set_cover_runs_when_a_raw_mask_has_three_coverers(monkeypatch):
+    inst = _pair_inside_a_triple()
+    assert minimal_masks(coverer_masks(inst)) == [0b011]
+
+    def refuse(*args):
+        raise AssertionError("the vertex cover ran on a three-coverer point")
+
+    monkeypatch.setattr(extraction, "_min_weight_vertex_cover", refuse)
+    assert exact_min_cover(inst) == (frozenset({1}), F(1))
+
+
+def test_cover_searches_raise_past_the_node_budget(monkeypatch):
+    # The 3-ray fan takes the vertex cover (5 nodes), the pair inside a
+    # triple the set cover (3 nodes: the root and one per coverer).
+    for inst, nodes in ((gen_rayfan(3), 5), (_pair_inside_a_triple(), 3)):
+        monkeypatch.setattr(octants, "SEARCH_NODE_BUDGET", nodes)
+        exact_min_cover(inst)
+        monkeypatch.setattr(octants, "SEARCH_NODE_BUDGET", nodes - 1)
+        with pytest.raises(SizeCapError):
+            exact_min_cover(inst)
+
+
+def _pinned_cover_instances():
+    # Every class, 1-16 objects, four weight and target variants: unit
+    # weights (many ties) on all targets or on the targets of exactly two
+    # coverers, and random weights on a random half of the targets or on
+    # the two-coverer targets. Two-coverer targets take the vertex-cover
+    # path, the rest mostly the set-cover path.
+    classes = list(ObjectClass)
+    for k in range(600):
+        inst = gen_random(classes[k % 4], 1 + k // 16 % 16, k)
+        rng = random.Random(k)
+        variant = k // 4 % 4
+        points = list(inst.points)
+        if variant < 2:
+            weights = [F(1)] * inst.m
+        else:
+            weights = [F(rng.randint(1, 6), rng.randint(1, 3)) for _ in range(inst.m)]
+        if variant == 2:
+            points = rng.sample(points, len(points) // 2)
+        elif variant % 2:
+            masks = coverer_masks(inst)
+            points = [p for p, m in zip(points, masks) if m.bit_count() == 2]
+        yield make_instance(inst.cls, inst.objects, weights, points)
+
+
+def test_min_covers_are_frozen():
+    # sha256 over each instance's sorted cover and weight (or the exception
+    # name). Computed before both cover solvers shared one mask model, so a
+    # flipped tie-break in either solver changes it.
+    h = hashlib.sha256()
+    for inst in _pinned_cover_instances():
+        try:
+            cover, weight = exact_min_cover(inst)
+            h.update(f"{sorted(cover)}:{weight};".encode())
+        except GeomExtractError as err:
+            h.update(f"{type(err).__name__};".encode())
+    assert h.hexdigest() == (
+        "b837ff70703b59f77fd7e8bd0bdf227eb137f9b7d9a2d404474c7c51d81bdcc7"
+    )
 
 
 def test_extraction_number_examples():

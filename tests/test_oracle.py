@@ -486,3 +486,14 @@ def test_witness_recheck_survives_python_O():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["1", "True"]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(1, 2**10 - 1), max_size=14))
+def test_minimal_masks_match_brute_force(masks):
+    def members(s):
+        return [i for i in range(10) if s >> i & 1]
+
+    minimal = [s for s in set(masks) if not any(t != s and t & s == t for t in masks)]
+    expected = sorted(minimal, key=lambda s: (len(members(s)), members(s)))
+    assert oracle.minimal_masks(masks) == expected
