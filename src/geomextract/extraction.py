@@ -122,7 +122,7 @@ def _min_weight_vertex_cover(
     of the edges at i. A component grows from its lowest edge through hits.
     """
     tick = octants.node_budget("vertex cover search")
-    members = oracle._mask_members
+    members = oracle.bits
     lightest = [min(weights[i] for i in members(e)) for e in points]
 
     def matching_bound(uncovered: int) -> Fraction:
@@ -174,7 +174,7 @@ def _min_weight_vertex_cover(
         best[:] = sum((weights[i] for i in members(init)), Fraction(0)), init
         rec(comp, Fraction(0), 0)
         cover |= best[1]
-    return members(cover)
+    return frozenset(members(cover))
 
 
 def _min_weight_set_cover(
@@ -189,7 +189,7 @@ def _min_weight_set_cover(
     cheaper than a previous visit is pruned.
     """
     tick = octants.node_budget("set cover search")
-    members = oracle._mask_members
+    members = oracle.bits
     branches = [sorted(members(s), key=lambda i: (weights[i], i)) for s in points]
     everything = (1 << len(points)) - 1
     init = _greedy(hits, weights, everything)
@@ -213,7 +213,7 @@ def _min_weight_set_cover(
             rec(uncovered & ~hits[i], cur_w + weights[i], chosen | 1 << i)
 
     rec(everything, Fraction(0), 0)
-    return members(best[1])
+    return frozenset(members(best[1]))
 
 
 def exact_min_cover(
@@ -234,7 +234,7 @@ def exact_min_cover(
     points = oracle.minimal_masks(masks)
     hits = [0] * instance.m  # hits[i]: mask of the minimal points i covers
     for k, s in enumerate(points):
-        for i in oracle._mask_members(s):
+        for i in oracle.bits(s):
             hits[i] |= 1 << k
     if all(mask.bit_count() == 2 for mask in masks):
         solve = _min_weight_vertex_cover
@@ -267,12 +267,12 @@ def extraction_number(instance: Instance, w_cover: Fraction) -> Fraction:
 def exact_chromatic(
     instance: Instance, size_cap: int = DEFAULT_CHROMATIC_CAP
 ) -> int:
-    """Minimum kappa admitting a proper coloring of the induced hypergraph."""
-    if instance.m > size_cap:
-        raise SizeCapError(f"{instance.m} objects exceed cap {size_cap}")
-    if instance.m == 0:
-        return 1
-    edges = oracle.enumerate_hyperedges(instance, size_cap=size_cap).sorted_edges()
+    """Minimum kappa admitting a proper coloring of the induced hypergraph.
+
+    The search reads the minimal edges only and visits the same nodes: a
+    monochromatic edge holds a monochromatic minimal one, placed no later.
+    """
+    edges = oracle.minimal_masks(oracle.enumerate_hyperedges(instance, size_cap).masks)
     if not edges:
         return 1
     for k in range(2, instance.m + 1):

@@ -263,11 +263,11 @@ def search_octant4(
         if len(octants.compute_domination(octs).nondominated) < 4:
             continue
         edges = octants.join_cover_edges(octs)
-        if len(edges) != 6 or any(len(e) != 2 for e in edges):
+        if len(edges) != 6 or any(e.bit_count() != 2 for e in edges):
             continue
         points = [
             tuple(max(a, b) for a, b in zip(apexes[i], apexes[j]))
-            for i, j in (sorted(e) for e in edges)
+            for i, j in map(oracle.bits, edges)
         ]
         return make_instance(
             ObjectClass.OCTANTS, octs, points=points,

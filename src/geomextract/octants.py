@@ -168,41 +168,31 @@ def project(octants: Sequence[Octant], c_max: Fraction) -> List[PlaneTriangle]:
 # Minimal hyperedges from pairwise apex joins
 # ---------------------------------------------------------------------------
 
-def join_cover_edges(octants: Sequence[Octant]) -> List[frozenset]:
-    """Inclusion-minimal hyperedges of the octants, sorted by (len, sorted).
+def join_cover_edges(octants: Sequence[Octant]) -> List[int]:
+    """Masks of the inclusion-minimal hyperedges, sorted by (size, members).
 
     Each hyperedge containing i and j contains the cover of join(a_i, a_j)
     (see the module docstring), so the minimal hyperedges are the minimal
-    join covers, as oracle.minimal_masks filters them for the exact covers.
+    join covers, as oracle.minimal_masks filters them.
     """
     joins = {
         tuple(map(max, o.apex, p.apex)) for o, p in combinations(octants, 2)
     }
-    covers = _covers(octants, joins)
-    return [oracle._mask_members(e) for e in oracle.minimal_masks(covers)]
+    return oracle.minimal_masks(_covers(octants, joins))
 
 
 # ---------------------------------------------------------------------------
 # Coloring search: greedy on the pair graph, exact backtracking fallback
 # ---------------------------------------------------------------------------
 
-def _degeneracy_order(n: int, adjacency: List[set]) -> List[int]:
+def _degeneracy_order(adjacency: List[int]) -> List[int]:
     """Repeatedly remove a minimum-degree vertex; ties to the lowest index."""
-    degree = [len(adjacency[v]) for v in range(n)]
-    alive = set(range(n))
-    removed = []
+    alive, removed = (1 << len(adjacency)) - 1, []
     while alive:
-        v = min(alive, key=lambda u: (degree[u], u))
-        alive.remove(v)
+        v = min(oracle.bits(alive), key=lambda u: (adjacency[u] & alive).bit_count())
+        alive ^= 1 << v
         removed.append(v)
-        for u in adjacency[v]:
-            if u in alive:
-                degree[u] -= 1
     return removed
-
-
-def _proper_on(edges: Iterable[frozenset], colors: List[int]) -> bool:
-    return all(len({colors[i] for i in e}) >= 2 for e in edges)
 
 
 def node_budget(search: str) -> Callable[[], None]:
@@ -217,50 +207,40 @@ def node_budget(search: str) -> Callable[[], None]:
 
 
 def _search_coloring(
-    n: int, edges: List[frozenset], max_colors: int = 4
+    n: int, masks: List[int], max_colors: int = 4
 ) -> Optional[List[int]]:
-    """A coloring with <= max_colors making every edge non-monochromatic.
+    """A coloring with <= max_colors leaving no edge mask monochromatic.
 
     Greedy coloring along a degeneracy order of the size-2 edge graph first;
     if that leaves a monochromatic edge or spills over max_colors, exact
-    backtracking over all colorings pruned by the size-2 edges and checked
-    against every edge. The backtracking raises SizeCapError once it has
-    visited more than SEARCH_NODE_BUDGET nodes.
+    backtracking on one mask per color class, which an edge must not fit
+    inside. It raises SizeCapError past SEARCH_NODE_BUDGET nodes.
     """
     if n == 0:
         return []
-    adjacency: List[set] = [set() for _ in range(n)]
-    for e in edges:
-        if len(e) == 2:
-            a, b = sorted(e)
-            adjacency[a].add(b)
-            adjacency[b].add(a)
+    adjacency = [0] * n
+    for e in masks:
+        if e.bit_count() == 2:
+            a, b = oracle.bits(e)
+            adjacency[a] |= 1 << b
+            adjacency[b] |= 1 << a
 
-    order = _degeneracy_order(n, adjacency)
+    sequence = _degeneracy_order(adjacency)[::-1]
     colors = [0] * n
-    for v in reversed(order):
-        taken = {colors[u] for u in adjacency[v] if colors[u]}
-        c = next(c for c in range(1, n + 2) if c not in taken)
-        colors[v] = c
-    if max(colors) <= max_colors and _proper_on(edges, colors):
+    for v in sequence:
+        taken = {colors[u] for u in oracle.bits(adjacency[v])}
+        colors[v] = next(c for c in range(1, n + 2) if c not in taken)
+    if max(colors) <= max_colors and oracle.monochromatic(masks, colors) is None:
         return colors
 
     # Exact fallback. Edges fully colored by a prefix of the order are
     # checked as soon as their last vertex is placed.
-    pos = {v: k for k, v in enumerate(reversed(order))}
-    sequence = list(reversed(order))
-    edge_tuples = [tuple(e) for e in edges]
-    by_last: List[List[tuple]] = [[] for _ in range(n)]
-    for e in edge_tuples:
-        by_last[max(pos[v] for v in e)].append(e)
-    colors = [0] * n
+    pos = {v: k for k, v in enumerate(sequence)}
+    by_last: List[List[int]] = [[] for _ in range(n)]
+    for e in masks:
+        by_last[max(pos[v] for v in oracle.bits(e))].append(e)
+    classes = [0] * (max_colors + 1)  # classes[c]: mask of the vertices colored c
     tick = node_budget("coloring search")
-
-    def feasible(k: int) -> bool:
-        for e in by_last[k]:
-            if len({colors[v] for v in e}) == 1:
-                return False
-        return True
 
     def rec(k: int, used: int) -> bool:
         tick()
@@ -268,20 +248,20 @@ def _search_coloring(
             return True
         v = sequence[k]
         for c in range(1, min(max_colors, used + 1) + 1):
-            if len(adjacency[v]) and any(
-                colors[u] == c for u in adjacency[v]
-            ):
-                # two-vertex edges are monochromatic exactly on equality
+            if adjacency[v] & classes[c]:
                 continue
-            colors[v] = c
-            if feasible(k) and rec(k + 1, max(used, c)):
+            placed = classes[c] | 1 << v
+            if any(e & placed == e for e in by_last[k]):
+                continue
+            classes[c] = placed
+            if rec(k + 1, max(used, c)):
                 return True
-            colors[v] = 0
+            classes[c] ^= 1 << v
         return False
 
-    if rec(0, 0):
-        return colors
-    return None
+    if not rec(0, 0):
+        return None
+    return [next(c for c, m in enumerate(classes) if m >> v & 1) for v in range(n)]
 
 
 def color_triangles(
@@ -300,7 +280,7 @@ def color_triangles(
         raise SizeCapError(f"{len(triangles)} triangles exceed cap {size_cap}")
     if not triangles:
         return Coloring((), 4)
-    edges = oracle.enumerate_triangle_hyperedges(triangles).sorted_edges()
+    edges = oracle.minimal_masks(oracle.enumerate_triangle_hyperedges(triangles).masks)
     colors = _search_coloring(len(triangles), edges, max_colors=4)
     if colors is None:
         raise NoFourColoringError(

@@ -17,9 +17,13 @@ reads it at the target points for extract and the exact covers,
 check_cover at the same points over the subset's extents only, and the
 octants at their apexes and apex joins. Tables, grid and masks read the
 instance's integer frame (core.Frame, unit L), where events are even
-integers and gap midpoints integers. Every grid witness is
-re-checked with core's membership test (core.MEMBERSHIP) on the frame's
-objects, independently of the masks, and handed back as Fraction(W, L).
+integers and gap midpoints integers.
+
+A hyperedge is a mask (bit i for object i) from the grid through every
+search. enumerate_hyperedges maps each to its first grid witness W,
+re-checked with core.MEMBERSHIP on the frame's objects, independently of
+the masks. Frozensets and Fraction(W, L) witnesses are built only at the
+boundary: HyperedgeSet.edges on first read, and check_proper's verdict.
 
 Plane triangles (octant projections) have a slanted side and are
 enumerated separately, by horizontal slices.
@@ -33,7 +37,7 @@ import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Iterable, Optional, Sequence
 
 from . import core
@@ -57,7 +61,16 @@ DEFAULT_SIZE_CAP = 60
 class HyperedgeSet:
     """Deduplicated covering sets of size >= 2, one witness point each."""
 
-    edges: dict  # frozenset[int] -> witness point tuple
+    masks: dict  # int mask -> witness point tuple, in units of 1/unit
+    unit: int = 1
+
+    @cached_property
+    def edges(self) -> dict:
+        """frozenset[int] -> witness point tuple of Fractions, built on first read."""
+        return {
+            frozenset(bits(e)): tuple(Fraction(c, self.unit) for c in w)
+            for e, w in self.masks.items()
+        }
 
     @property
     def edge_set(self) -> frozenset:
@@ -67,7 +80,7 @@ class HyperedgeSet:
         return sorted(self.edges, key=lambda e: (len(e), sorted(e)))
 
     def __len__(self) -> int:
-        return len(self.edges)
+        return len(self.masks)
 
 
 @dataclass(frozen=True)
@@ -134,8 +147,14 @@ def _axis_candidates(extents: Sequence[tuple], unit: int) -> tuple:
     return list(first.values()), list(first)
 
 
-def _mask_members(mask: int) -> frozenset:
-    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+def bits(mask: int) -> list:
+    """The indices of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def minimal_masks(masks: Iterable[int]) -> list:
@@ -149,7 +168,7 @@ def minimal_masks(masks: Iterable[int]) -> list:
     by_size = sorted(set(masks), key=int.bit_count)
     for _, same_size in itertools.groupby(by_size, int.bit_count):
         minimal += [s for s in same_size if not any(t & s == t for t in minimal)]
-    return sorted(minimal, key=lambda s: (s.bit_count(), sorted(_mask_members(s))))
+    return sorted(minimal, key=lambda s: (s.bit_count(), bits(s)))
 
 
 def covers(extents: Sequence[Sequence[tuple]], points: Iterable[tuple]) -> list:
@@ -173,33 +192,6 @@ def covers(extents: Sequence[Sequence[tuple]], points: Iterable[tuple]) -> list:
 def coverer_masks(instance: Instance) -> list:
     """Per target point, in T order, the mask of the objects covering it."""
     return covers(instance.frame.extents, instance.frame.points)
-
-
-def _grid_edges(extents: Sequence[Sequence[tuple]], unit: int) -> dict:
-    """First witness of every covering set of size >= 2, x-major order.
-
-    Extents and witnesses are on an integer frame of the unit (core.Frame).
-    """
-    axes = [_axis_candidates(ext, unit) for ext in extents]
-    *outer, (last_vals, last_masks) = axes
-    prefixes = [(-1, ())]  # (covering mask so far, point so far)
-    for vals, masks in outer:
-        prefixes = [
-            (m & am, pt + (v,))
-            for m, pt in prefixes
-            for v, am in zip(vals, masks)
-            if m & am
-        ]
-    edges: dict = {}
-    seen = set()
-    for m, pt in prefixes:
-        for v, am in zip(last_vals, last_masks):
-            cell = m & am
-            if cell and cell not in seen:
-                seen.add(cell)
-                if cell & (cell - 1):
-                    edges[_mask_members(cell)] = pt + (v,)
-    return edges
 
 
 def enumerate_triangle_hyperedges(triangles: Sequence[PlaneTriangle]) -> HyperedgeSet:
@@ -228,13 +220,11 @@ def enumerate_triangle_hyperedges(triangles: Sequence[PlaneTriangle]) -> Hypered
             continue
         ucands = _with_midpoints(u for _, lo, hi in active for u in (lo, hi))
         for u in ucands:
-            cov = frozenset(i for i, lo, hi in active if lo <= u <= hi)
-            if len(cov) >= 2 and cov not in edges:
+            cov = sum(1 << i for i, lo, hi in active if lo <= u <= hi)
+            if cov & (cov - 1) and cov not in edges:
                 edges[cov] = (u, v)
     for edge, (u, v) in edges.items():
-        got = frozenset(
-            i for i, t in enumerate(triangles) if triangle_contains(t, u, v)
-        )
+        got = sum(1 << i for i, t in enumerate(triangles) if triangle_contains(t, u, v))
         if got != edge:
             raise AlgorithmInvariantError(
                 "triangle slice witness disagrees with membership",
@@ -246,24 +236,54 @@ def enumerate_triangle_hyperedges(triangles: Sequence[PlaneTriangle]) -> Hypered
 def enumerate_hyperedges(
     instance: Instance, size_cap: int = DEFAULT_SIZE_CAP
 ) -> HyperedgeSet:
-    """All covering sets of size >= 2 realized by some point, with witnesses."""
+    """All covering sets of size >= 2 realized by some point, with witnesses.
+
+    Each mask keeps its first witness in x-major order on the instance's
+    frame, re-checked with core.MEMBERSHIP.
+    """
     if instance.m > size_cap:
         raise SizeCapError(f"{instance.m} objects exceed cap {size_cap}")
     if instance.m == 0:
         return HyperedgeSet({})
     frame = instance.frame
-    inside = core.MEMBERSHIP[instance.cls]
+    axes = [_axis_candidates(ext, frame.unit) for ext in frame.extents]
+    *outer, (last_vals, last_masks) = axes
+    prefixes = [(-1, ())]  # (covering mask so far, point so far)
+    for vals, masks in outer:
+        prefixes = [
+            (m & am, pt + (v,))
+            for m, pt in prefixes
+            for v, am in zip(vals, masks)
+            if m & am
+        ]
     edges: dict = {}
-    for edge, w in _grid_edges(frame.extents, frame.unit).items():
-        witness = tuple(Fraction(c, frame.unit) for c in w)
-        # Depth consistency: each witness realizes exactly its edge under
-        # core's membership test, which knows nothing of the grid's masks.
-        if frozenset([i for i, o in enumerate(frame.objects) if inside(o, w)]) != edge:
+    seen = set()
+    for m, pt in prefixes:
+        for v, am in zip(last_vals, last_masks):
+            cell = m & am
+            if cell and cell not in seen:
+                seen.add(cell)
+                if cell & (cell - 1):
+                    edges[cell] = pt + (v,)
+    inside = core.MEMBERSHIP[instance.cls]
+    for edge, w in edges.items():
+        if sum(1 << i for i, o in enumerate(frame.objects) if inside(o, w)) != edge:
             raise AlgorithmInvariantError(
-                "oracle witness disagrees with core membership", witness=witness
+                "oracle witness disagrees with core membership",
+                witness=tuple(Fraction(c, frame.unit) for c in w),
             )
-        edges[edge] = witness
-    return HyperedgeSet(edges)
+    return HyperedgeSet(edges, frame.unit)
+
+
+def monochromatic(edges: Iterable[int], colors: Sequence[int]) -> Optional[int]:
+    """The first edge mask inside one color class (colors[i] is object i's)."""
+    classes: dict = {}
+    for i, c in enumerate(colors):
+        classes[c] = classes.get(c, 0) | 1 << i
+    for e in edges:
+        if e & classes[colors[(e & -e).bit_length() - 1]] == e:
+            return e
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +328,8 @@ def enumerate_hyperedges_dense(
     Samples each axis on a uniform lattice of step half the gcd of all
     event differences (so every defining coordinate lies on the lattice and
     every open gap of width >= gcd contains a lattice point), extended one
-    unit beyond the extremes. Deliberately shares nothing with the
-    event-grid enumerator beyond core.depth.
+    unit beyond the extremes. Shares nothing with the event-grid
+    enumerator beyond core.depth and HyperedgeSet's decode.
     """
     if instance.m == 0:
         return HyperedgeSet({})
@@ -335,8 +355,8 @@ def enumerate_hyperedges_dense(
     edges: dict = {}
     for p in itertools.product(*axes):
         n, cov = core.depth(instance, p)
-        if n >= 2 and cov not in edges:
-            edges[cov] = p
+        if n >= 2:
+            edges.setdefault(sum(1 << i for i in cov), p)
     return HyperedgeSet(edges)
 
 
@@ -347,14 +367,19 @@ def enumerate_hyperedges_dense(
 def check_proper(
     instance: Instance, coloring: Coloring, size_cap: int = DEFAULT_SIZE_CAP
 ) -> ProperVerdict:
-    """Proper iff every enumerated hyperedge sees at least two colors."""
+    """Proper iff every hyperedge sees at least two colors.
+
+    The first monochromatic edge in (size, members) order is minimal (a
+    sub-edge would sort before it), so only the minimal edges are scanned.
+    """
     if len(coloring.colors) != instance.m:
         raise ValueError("coloring is not total over the instance")
-    hes = enumerate_hyperedges(instance, size_cap=size_cap)
-    for edge in hes.sorted_edges():
-        if len({coloring.colors[i] for i in edge}) == 1:
-            return ProperVerdict(False, edge, hes.edges[edge])
-    return ProperVerdict(True)
+    edges = enumerate_hyperedges(instance, size_cap=size_cap)
+    edge = monochromatic(minimal_masks(edges.masks), coloring.colors)
+    if edge is None:
+        return ProperVerdict(True)
+    witness = tuple(Fraction(c, edges.unit) for c in edges.masks[edge])
+    return ProperVerdict(False, frozenset(bits(edge)), witness)
 
 
 def check_cover(instance: Instance, subset: Iterable[int]) -> CoverVerdict:

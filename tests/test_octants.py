@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction as F
 from operator import add
@@ -15,6 +16,7 @@ from geomextract import (
     compute_domination,
     depth,
     enumerate_hyperedges,
+    exact_chromatic,
     gen_octant4,
     gen_random,
     make_instance,
@@ -23,6 +25,7 @@ from geomextract import (
 from geomextract import octants, oracle
 from geomextract.core import (
     AlgorithmInvariantError,
+    GeomExtractError,
     NoFourColoringError,
     Octant,
     PlaneTriangle,
@@ -278,9 +281,11 @@ def test_join_covers_match_grid_minimal_edges():
         dag = compute_domination(octs)
         kept = [octs[i] for i in dag.nondominated]
         sub = make_instance(ObjectClass.OCTANTS, kept)
-        got = join_cover_edges(kept)
-        assert got == sorted(got, key=lambda e: (len(e), sorted(e)))
-        assert set(got) == _minimal(enumerate_hyperedges(sub).edge_set), octs
+        got = [oracle.bits(e) for e in join_cover_edges(kept)]
+        assert got == sorted(got, key=lambda e: (len(e), e))
+        assert {frozenset(e) for e in got} == _minimal(
+            enumerate_hyperedges(sub).edge_set
+        ), octs
         sizes.append(len(octs))
         kept_sizes.append(len(kept))
     assert max(sizes) == 40 and max(kept_sizes) >= 30
@@ -307,7 +312,7 @@ def _perfbench_antichain(n, plane=10**6):
 def test_join_covers_of_antichain_are_pairs():
     inst = _perfbench_antichain(20)
     edges = join_cover_edges(list(inst.objects))
-    assert len(edges) == 47 and all(len(e) == 2 for e in edges)
+    assert len(edges) == 47 and all(e.bit_count() == 2 for e in edges)
 
 
 # Colorings of the plane-triangle pipeline that the join-cover kernel
@@ -356,6 +361,44 @@ def test_colorings_frozen_antichains():
     for n, want in _FROZEN_ANTICHAIN_COLORS.items():
         col = color_octants(_perfbench_antichain(n))
         assert "".join(map(str, col.colors)) == want, n
+
+
+def _pinned_hyperedge_instances():
+    for cls in ObjectClass:
+        for n in range(1, 13):
+            for seed in range(6):
+                yield gen_random(cls, n, seed)
+    # the greedy coloring fails on these two, so their colorings come from
+    # the backtracking fallback
+    yield gen_random(ObjectClass.OCTANTS, 4, 50)
+    yield gen_random(ObjectClass.OCTANTS, 14, 0)
+    for n in (10, 20, 30, 40):
+        yield _perfbench_antichain(n)
+
+
+def test_hyperedge_consumers_are_frozen():
+    # sha256 over exact_chromatic (or the exception's name), check_proper's
+    # verdict, sorted edge and witness on seeded random colorings with
+    # kappa = 1..4, and the octant colorings. Computed while the searches
+    # still read frozenset hyperedges.
+    h = hashlib.sha256()
+    rng = random.Random(21)
+    for inst in _pinned_hyperedge_instances():
+        try:
+            h.update(f"chi {exact_chromatic(inst)};".encode())
+        except GeomExtractError as err:
+            h.update(f"chi {type(err).__name__};".encode())
+        for kappa in range(1, 5):
+            colors = tuple(rng.randint(1, kappa) for _ in range(inst.m))
+            got = check_proper(inst, Coloring(colors, kappa))
+            edge = None if got.edge is None else sorted(got.edge)
+            witness = None if got.witness is None else [str(v) for v in got.witness]
+            h.update(f"proper {got.proper} {edge} {witness};".encode())
+        if inst.cls is ObjectClass.OCTANTS:
+            h.update(f"colors {color_octants(inst).colors};".encode())
+    assert h.hexdigest() == (
+        "13290dfa12a82a219fe0e463b8b7cf61a3a75502e835103de606c2fa0176b3e6"
+    )
 
 
 def test_color_octants_never_enumerates_the_grid(monkeypatch):
@@ -430,7 +473,7 @@ def test_improper_search_result_raises_with_a_join_witness(monkeypatch):
 def test_search_node_budget_raises_size_cap(monkeypatch):
     # A triangle of pairs is not 2-colorable: greedy takes three colors and
     # the backtracking visits exactly three nodes before giving up.
-    triangle = [frozenset({0, 1}), frozenset({1, 2}), frozenset({0, 2})]
+    triangle = [0b011, 0b110, 0b101]
     monkeypatch.setattr(octants, "SEARCH_NODE_BUDGET", 3)
     assert octants._search_coloring(3, triangle, max_colors=2) is None
     monkeypatch.setattr(octants, "SEARCH_NODE_BUDGET", 2)

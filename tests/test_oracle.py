@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import os
 import random
 import subprocess
@@ -20,6 +21,7 @@ from geomextract import (
     depth,
     enumerate_hyperedges,
     enumerate_hyperedges_dense,
+    exact_chromatic,
     exact_min_cover,
     extract,
     gen_interval_pair,
@@ -161,16 +163,60 @@ def test_grid_matches_dense_on_random_fractional_octants(octs):
 # Wide fractional coordinates (numerators -90..90 over denominators 1-6) for
 # the coverage table: events collide only sometimes and gaps are narrow.
 _wide = st.builds(F, st.integers(-90, 90), st.sampled_from([1, 2, 3, 5, 6]))
-_run = st.tuples(_wide, _wide).filter(lambda p: p[0] != p[1]).map(sorted)
-_OBJECTS = {
-    ObjectClass.INTERVALS: st.builds(lambda r: Interval(*r), _run),
-    ObjectClass.SEGMENTS: st.builds(
-        lambda axis, line, r: Segment(axis, line, *r),
-        st.sampled_from([Axis.HORIZONTAL, Axis.VERTICAL]), _wide, _run,
-    ),
-    ObjectClass.RAYS: st.builds(Ray, st.integers(1, 4), st.tuples(_wide, _wide)),
-    ObjectClass.OCTANTS: st.builds(Octant, st.tuples(_wide, _wide, _wide)),
-}
+
+
+def _objects_on(coord):
+    """One object strategy per class, every coordinate drawn from coord."""
+    run = st.tuples(coord, coord).filter(lambda p: p[0] != p[1]).map(sorted)
+    return {
+        ObjectClass.INTERVALS: st.builds(lambda r: Interval(*r), run),
+        ObjectClass.SEGMENTS: st.builds(
+            lambda axis, line, r: Segment(axis, line, *r),
+            st.sampled_from([Axis.HORIZONTAL, Axis.VERTICAL]), coord, run,
+        ),
+        ObjectClass.RAYS: st.builds(Ray, st.integers(1, 4), st.tuples(coord, coord)),
+        ObjectClass.OCTANTS: st.builds(Octant, st.tuples(coord, coord, coord)),
+    }
+
+
+_OBJECTS = _objects_on(_wide)
+_HALF_OBJECTS = _objects_on(_halves)
+
+
+@pytest.mark.parametrize("cls", list(ObjectClass), ids=lambda c: c.value)
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_proper_and_chromatic_match_dense_brute_force(cls, data):
+    # check_proper and exact_chromatic read the grid's minimal edge masks;
+    # here every dense-sampled edge is scanned instead, in (len, sorted) order.
+    objects = data.draw(st.lists(_HALF_OBJECTS[cls], min_size=1, max_size=6))
+    inst = make_instance(cls, objects)
+    dense = sorted(
+        (sorted(e) for e in enumerate_hyperedges_dense(inst).edges),
+        key=lambda e: (len(e), e),
+    )
+
+    def first_monochromatic(colors):
+        return next((e for e in dense if len({colors[i] for i in e}) == 1), None)
+
+    kappa = data.draw(st.integers(1, 4))
+    colors = data.draw(st.lists(st.integers(1, kappa), min_size=inst.m, max_size=inst.m))
+    verdict = check_proper(inst, Coloring(tuple(colors), kappa))
+    expected = first_monochromatic(colors)
+    assert verdict.proper == (expected is None)
+    if expected is not None:
+        assert sorted(verdict.edge) == expected
+        assert depth(inst, verdict.witness)[1] == verdict.edge
+
+    chromatic = next(
+        k
+        for k in range(1, inst.m + 1)
+        if any(
+            first_monochromatic(c) is None
+            for c in itertools.product(range(1, k + 1), repeat=inst.m)
+        )
+    )
+    assert exact_chromatic(inst) == chromatic
 
 
 def _coordinates(obj):

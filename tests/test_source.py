@@ -70,3 +70,31 @@ def test_axis_table_read_only_in_oracle():
             if "_axis_table" in (getattr(node, "id", None), getattr(node, "attr", None)):
                 readers.add(path.name)
     assert readers == {"oracle.py"}
+
+
+def test_search_loops_build_no_sets_or_tuples():
+    # One hyperedge type: the nested rec of every exact search (coloring,
+    # vertex cover, set cover) reads int masks, and builds no frozenset, set
+    # or tuple per node.
+    recs, found = [], []
+    for path in SOURCES:
+        for func in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for rec in ast.walk(func):
+                if rec is func or getattr(rec, "name", None) != "rec":
+                    continue
+                recs.append(f"{path.name}:{func.name}")
+                found += [
+                    f"{path.name}:{node.lineno}"
+                    for node in ast.walk(rec)
+                    if isinstance(node, ast.SetComp)
+                    or isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) in {"frozenset", "set", "tuple"}
+                ]
+    assert sorted(recs) == [
+        "extraction.py:_min_weight_set_cover",
+        "extraction.py:_min_weight_vertex_cover",
+        "octants.py:_search_coloring",
+    ]
+    assert found == []
