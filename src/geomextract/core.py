@@ -4,7 +4,9 @@ All coordinates and weights are `fractions.Fraction` values; every predicate
 is an exact rational comparison, so there is no tolerance anywhere. All
 object classes are closed sets (endpoints and apexes included), which makes
 touching objects intersect. Membership has one test per object class
-(MEMBERSHIP); contains() validates its input, depth() picks the test once.
+(MEMBERSHIP); contains() validates its input, depth() picks the test once,
+and covering_mask() gives the int mask of the objects containing a point,
+on whichever frame the objects and the point share.
 
 The fast paths read ints: Instance.frame, the instance scaled once by L = 2 *
 lcm of the denominators of all object and target-point coordinates, built on
@@ -277,6 +279,17 @@ MEMBERSHIP = {
     ObjectClass.RAYS: _in_ray,
     ObjectClass.OCTANTS: _in_octant,
 }
+
+
+def covering_mask(cls: ObjectClass, objects: Sequence, p: Point) -> int:
+    """Mask of the objects containing p, bit i for objects[i], by the class's
+    MEMBERSHIP test. Unchecked like MEMBERSHIP: objects and p must be of cls
+    and on one frame, the instance's Fractions or Instance.frame's ints."""
+    inside, mask = MEMBERSHIP[cls], 0
+    for i, obj in enumerate(objects):
+        if inside(obj, p):
+            mask |= 1 << i
+    return mask
 
 
 def contains(obj: GeomObject, p: Point) -> bool:

@@ -9,7 +9,9 @@ is returned.
 The exact routines are desk-scale solvers used as oracles for the tightness
 instances: minimum-weight cover of the target points, the exact extraction
 number W / (W - mincover) it induces, and the exact proper chromatic number
-of the induced hypergraph. Both cover searches read one mask model: the
+of the induced hypergraph, which reads the grid's minimal edges or, for
+octants, the same edges as minimal apex join covers (octants.join_cover_edges),
+with no grid walk. Both cover searches read one mask model: the
 inclusion-minimal coverer masks of the targets (oracle.minimal_masks; a
 cover of those covers every target) and hits[i], the mask of those points
 object i covers. They start from one greedy cover, and like the coloring
@@ -29,6 +31,7 @@ from .core import (
     DepthPreconditionError,
     ImproperColoringError,
     Instance,
+    ObjectClass,
     SizeCapError,
     UnboundedExtractionError,
     UncoverablePointError,
@@ -99,14 +102,19 @@ def _greedy(hits: Sequence[int], weights: Sequence[Fraction], uncovered: int) ->
     """Mask of a greedy cover of the uncovered points.
 
     Each step takes the least weight per newly covered point, ties to the
-    lowest index.
+    lowest index. With w_i = n_i/d_i covering c_i new points, n_i/(d_i c_i)
+    is compared by cross-multiplying, with no Fraction division.
     """
+    ratios = [w.as_integer_ratio() for w in weights]
     chosen = 0
     while uncovered:
-        pick = min(
-            (i for i, h in enumerate(hits) if h & uncovered),
-            key=lambda i: (weights[i] / (hits[i] & uncovered).bit_count(), i),
-        )
+        pick, best_n, best_d = -1, 0, 1  # pick's weight per point: best_n/best_d
+        for i, h in enumerate(hits):
+            count = (h & uncovered).bit_count()
+            if count:
+                n, d = ratios[i]
+                if pick < 0 or n * best_d < best_n * d * count:
+                    pick, best_n, best_d = i, n, d * count
         chosen |= 1 << pick
         uncovered &= ~hits[pick]
     return chosen
@@ -271,8 +279,19 @@ def exact_chromatic(
 
     The search reads the minimal edges only and visits the same nodes: a
     monochromatic edge holds a monochromatic minimal one, placed no later.
+    Octants read them as the minimal covers of their pairwise apex joins
+    (octants.join_cover_edges, every octant, dominated ones and twins
+    included), the same list in the same order as the grid's, with no grid
+    walk; every other class reads the grid's minimal edges.
     """
-    edges = oracle.minimal_masks(oracle.enumerate_hyperedges(instance, size_cap).masks)
+    if instance.m > size_cap:
+        raise SizeCapError(f"{instance.m} objects exceed cap {size_cap}")
+    if instance.cls is ObjectClass.OCTANTS:
+        frame = instance.frame
+        edges = octants.join_cover_edges(frame.objects, frame.unit)
+    else:
+        grid = oracle.enumerate_hyperedges(instance, size_cap)
+        edges = oracle.minimal_masks(grid.masks)
     if not edges:
         return 1
     for k in range(2, instance.m + 1):

@@ -56,8 +56,9 @@ def _kbox_split(i: int, k: int) -> int:
     """Split column of line i: round(i*(k-1)/k), halves up, in 1..k-1.
 
     Spreading the split points this way keeps the independence number of a
-    box at k+2 for small k (checked exhaustively for k <= 4), which is what
-    drives the extraction number of the family upward with k.
+    box at k+2 for small k (checked exhaustively for k <= 4). The exact
+    extraction number of the family is 2, 12/5, 8/3, 5/2, 8/3, 28/11, 8/3
+    for k = 2..8: it peaks at k = 4 and does not tend upward with k.
     """
     return (2 * i * (k - 1) + k) // (2 * k)
 

@@ -15,16 +15,21 @@ a coloring is proper iff none of them is monochromatic. The search accepts
 and prunes exactly the partial colorings it would on the full hypergraph:
 the size-2 edges are the same, and every hyperedge contains a minimal one.
 Domination and joins both ask which octants contain a point (an apex or a
-join), and oracle.covers answers it with one bitmask per point.
+join), and oracle.covers answers it with one bitmask per point. Each
+minimal join cover is then re-checked at its join with core.covering_mask,
+the class's membership test, as the grid re-checks its witnesses. Over
+every octant, dominated ones and twins included, the minimal join covers
+are the grid's minimal edges, in the same order, and
+extraction.exact_chromatic reads them in place of the grid.
 
 The same lemma verifies a finished coloring of all the octants, dominated
 ones included: it is proper iff the join of every same-colored pair is
 covered by an octant of another color (Keszegh and Pálvölgyi, "Octants are
-cover-decomposable"). check_at_joins asks core.depth at those joins, on the
-document's Fractions, so the check shares nothing with oracle.covers, which
-built the edges the search colored. At most m(m-1)/2 depth calls replace a
-walk over every cell of the 3D grid; verify --coloring and the tests keep
-the grid oracle.
+cover-decomposable"). check_at_joins asks core.covering_mask at those
+joins, on the frame's ints, so the check shares nothing with oracle.covers,
+which built the edges the search colored; its witness leaves in Fractions.
+At most m(m-1)/2 membership scans replace a walk over every cell of the 3D
+grid; verify --coloring and the tests keep the grid oracle.
 
 The triangle view stays: compute_cmax places the plane that rendering
 draws, and project and color_triangles remain for tests and for studying
@@ -168,17 +173,31 @@ def project(octants: Sequence[Octant], c_max: Fraction) -> List[PlaneTriangle]:
 # Minimal hyperedges from pairwise apex joins
 # ---------------------------------------------------------------------------
 
-def join_cover_edges(octants: Sequence[Octant]) -> List[int]:
+def join_cover_edges(octants: Sequence[Octant], unit: int = 1) -> List[int]:
     """Masks of the inclusion-minimal hyperedges, sorted by (size, members).
 
     Each hyperedge containing i and j contains the cover of join(a_i, a_j)
     (see the module docstring), so the minimal hyperedges are the minimal
-    join covers, as oracle.minimal_masks filters them.
+    join covers, as oracle.minimal_masks filters them. Each one returned is
+    re-checked with core.covering_mask at the first join that produced it;
+    a mismatch raises AlgorithmInvariantError with that join, divided by
+    the apexes' unit, as witness.
     """
-    joins = {
+    joins = dict.fromkeys(
         tuple(map(max, o.apex, p.apex)) for o, p in combinations(octants, 2)
-    }
-    return oracle.minimal_masks(_covers(octants, joins))
+    )
+    first_join: Dict[int, tuple] = {}
+    for join, mask in zip(joins, _covers(octants, joins)):
+        first_join.setdefault(mask, join)
+    edges = oracle.minimal_masks(first_join)
+    for e in edges:
+        join = first_join[e]
+        if core.covering_mask(ObjectClass.OCTANTS, octants, join) != e:
+            raise AlgorithmInvariantError(
+                "join cover disagrees with core membership",
+                witness=tuple(Fraction(v, unit) for v in join),
+            )
+    return edges
 
 
 # ---------------------------------------------------------------------------
@@ -292,20 +311,27 @@ def color_triangles(
 def check_at_joins(instance: Instance, coloring: Coloring) -> oracle.ProperVerdict:
     """Proper iff no same-colored pair's apex join has a one-color cover.
 
-    Pairs are taken in index order, each join once; a failure reports the
-    join as witness and its cover, from core.depth, as the edge.
+    Pairs are taken in index order, each join once, on the frame's ints; a
+    failure reports the join as witness, in Fractions, and its cover, from
+    core.covering_mask, as the edge.
     """
     colors = coloring.colors
-    apexes = [o.apex for o in instance.objects]
+    frame = instance.frame
+    apexes = [o.apex for o in frame.objects]
     seen = set()
     for i, j in combinations(range(instance.m), 2):
         if colors[i] == colors[j]:
             p = tuple(map(max, apexes[i], apexes[j]))
             if p not in seen:
                 seen.add(p)
-                cover = core.depth(instance, p)[1]
+                mask = core.covering_mask(ObjectClass.OCTANTS, frame.objects, p)
+                cover = oracle.bits(mask)
                 if all(colors[k] == colors[i] for k in cover):
-                    return oracle.ProperVerdict(False, cover, p)
+                    return oracle.ProperVerdict(
+                        False,
+                        frozenset(cover),
+                        tuple(Fraction(v, frame.unit) for v in p),
+                    )
     return oracle.ProperVerdict(True)
 
 
@@ -327,7 +353,7 @@ def color_octants(instance: Instance, size_cap: int = DEFAULT_SIZE_CAP) -> Color
         raise SizeCapError(
             f"{len(kept)} nondominated octants exceed cap {DEFAULT_SIZE_CAP}"
         )
-    edges = join_cover_edges([scaled[i] for i in kept])
+    edges = join_cover_edges([scaled[i] for i in kept], instance.frame.unit)
     sub_colors = _search_coloring(len(kept), edges, max_colors=4)
     if sub_colors is None:
         raise NoFourColoringError(

@@ -20,10 +20,15 @@ instance's integer frame (core.Frame, unit L), where events are even
 integers and gap midpoints integers.
 
 A hyperedge is a mask (bit i for object i) from the grid through every
-search. enumerate_hyperedges maps each to its first grid witness W,
-re-checked with core.MEMBERSHIP on the frame's objects, independently of
-the masks. Frozensets and Fraction(W, L) witnesses are built only at the
-boundary: HyperedgeSet.edges on first read, and check_proper's verdict.
+search. enumerate_hyperedges maps each to its first grid witness W and
+re-checks it with core.covering_mask, the one shared re-check: the mask of
+the frame's objects that pass the class's core.MEMBERSHIP test at W, built
+without the tables. The octants re-check their minimal join covers and
+their colorings' same-color joins with the same helper
+(octants.join_cover_edges, check_at_joins), so every mask a coloring or
+chromatic search reads has passed it. Frozensets and Fraction(W, L)
+witnesses are built only at the boundary: HyperedgeSet.edges on first
+read, and check_proper's verdict.
 
 Plane triangles (octant projections) have a slanted side and are
 enumerated separately, by horizontal slices.
@@ -239,7 +244,7 @@ def enumerate_hyperedges(
     """All covering sets of size >= 2 realized by some point, with witnesses.
 
     Each mask keeps its first witness in x-major order on the instance's
-    frame, re-checked with core.MEMBERSHIP.
+    frame, re-checked with core.covering_mask.
     """
     if instance.m > size_cap:
         raise SizeCapError(f"{instance.m} objects exceed cap {size_cap}")
@@ -265,9 +270,8 @@ def enumerate_hyperedges(
                 seen.add(cell)
                 if cell & (cell - 1):
                     edges[cell] = pt + (v,)
-    inside = core.MEMBERSHIP[instance.cls]
     for edge, w in edges.items():
-        if sum(1 << i for i, o in enumerate(frame.objects) if inside(o, w)) != edge:
+        if core.covering_mask(instance.cls, frame.objects, w) != edge:
             raise AlgorithmInvariantError(
                 "oracle witness disagrees with core membership",
                 witness=tuple(Fraction(c, frame.unit) for c in w),

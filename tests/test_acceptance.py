@@ -123,6 +123,18 @@ def test_criterion_5_kbox():
           f"colors, removed >= m/4, extraction 2 -> 12/5 ({elapsed:.2f}s)")
 
 
+def test_kbox_extraction_numbers_are_pinned():
+    # The exact vertex cover with the cover cap lifted: the factor peaks at
+    # k = 4 and stays at or below 8/3 through k = 8.
+    got = {
+        k: exact_extraction_number(gen_kbox(k), size_cap=10**6) for k in range(2, 9)
+    }
+    assert got == {
+        2: F(2), 3: F(12, 5), 4: F(8, 3), 5: F(5, 2), 6: F(8, 3), 7: F(28, 11),
+        8: F(8, 3),
+    }
+
+
 def test_criterion_6_property_suites():
     t = _Timer(120)
     for cls in ObjectClass:

@@ -22,7 +22,7 @@ from geomextract import (
     make_instance,
     project,
 )
-from geomextract import octants, oracle
+from geomextract import core, octants, oracle
 from geomextract.core import (
     AlgorithmInvariantError,
     GeomExtractError,
@@ -274,6 +274,9 @@ def _minimal(edges):
 
 
 def test_join_covers_match_grid_minimal_edges():
+    # On the nondominated octants, as color_octants reads them, and on every
+    # octant, twins and dominated ones included, on the frame's ints, as
+    # exact_chromatic reads them: there the list must be the grid's own.
     rng = random.Random(8)
     sizes, kept_sizes = [], []
     for _ in range(520):
@@ -285,6 +288,10 @@ def test_join_covers_match_grid_minimal_edges():
         assert got == sorted(got, key=lambda e: (len(e), e))
         assert {frozenset(e) for e in got} == _minimal(
             enumerate_hyperedges(sub).edge_set
+        ), octs
+        full = make_instance(ObjectClass.OCTANTS, octs)
+        assert join_cover_edges(full.frame.objects, full.frame.unit) == (
+            oracle.minimal_masks(enumerate_hyperedges(full).masks)
         ), octs
         sizes.append(len(octs))
         kept_sizes.append(len(kept))
@@ -313,6 +320,11 @@ def test_join_covers_of_antichain_are_pairs():
     inst = _perfbench_antichain(20)
     edges = join_cover_edges(list(inst.objects))
     assert len(edges) == 47 and all(e.bit_count() == 2 for e in edges)
+    for n in (10, 20, 30, 40):
+        inst = _perfbench_antichain(n)
+        assert join_cover_edges(inst.frame.objects, inst.frame.unit) == (
+            oracle.minimal_masks(enumerate_hyperedges(inst).masks)
+        ), n
 
 
 # Colorings of the plane-triangle pipeline that the join-cover kernel
@@ -405,15 +417,34 @@ def test_color_octants_never_enumerates_the_grid(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("grid or triangle view called on the coloring path")
 
+    inst = make_instance(ObjectClass.OCTANTS, [_oct(0, 0, 0), _oct(1, 1, 1)]
+                         + list(gen_octant4().objects))
     monkeypatch.setattr(oracle, "enumerate_hyperedges", forbidden)
     monkeypatch.setattr(oracle, "enumerate_triangle_hyperedges", forbidden)
     monkeypatch.setattr(octants, "project", forbidden)
     monkeypatch.setattr(octants, "color_triangles", forbidden)
-    inst = make_instance(ObjectClass.OCTANTS, [_oct(0, 0, 0), _oct(1, 1, 1)]
-                         + list(gen_octant4().objects))
+    monkeypatch.setattr(core, "depth", forbidden)  # the join check is on ints
     col = color_octants(inst)
     monkeypatch.undo()
     assert check_proper(inst, col).proper
+
+
+def test_exact_chromatic_of_octants_never_enumerates_the_grid(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("grid or depth called on the chromatic path")
+
+    octant4 = gen_octant4()
+    inst = make_instance(ObjectClass.OCTANTS, [_oct(0, 0, 0), _oct(1, 1, 1)]
+                         + list(octant4.objects))
+    monkeypatch.setattr(oracle, "enumerate_hyperedges", forbidden)
+    monkeypatch.setattr(core, "depth", forbidden)
+    assert exact_chromatic(octant4) == 4
+    # the octant at the origin lies in every covering set: two colors do
+    assert exact_chromatic(inst) == 2
+    assert exact_chromatic(make_instance(ObjectClass.OCTANTS, [])) == 1
+    with pytest.raises(SizeCapError, match="5 objects exceed cap 4"):
+        exact_chromatic(make_instance(ObjectClass.OCTANTS, inst.objects[:5]),
+                        size_cap=4)
 
 
 _coord = st.builds(F, st.integers(-3, 6), st.sampled_from([1, 1, 2, 3]))
@@ -468,6 +499,29 @@ def test_improper_search_result_raises_with_a_join_witness(monkeypatch):
     assert len(edge) >= 2 and {colors[i] for i in edge} == {1}
     assert any(witness == tuple(map(max, objects[i].apex, objects[j].apex))
                for i in edge for j in edge if i < j)
+
+
+def test_corrupted_join_cover_raises_with_a_join_witness(monkeypatch):
+    # octant4 on quarter coordinates, so the frame's unit is not 1; the
+    # corrupted lookup drops the top bit of every mask of two or more
+    # octants, which leaves the apexes' singleton covers (the domination)
+    # alone and breaks every join cover.
+    objects = [Octant(tuple(v / 4 for v in o.apex)) for o in gen_octant4().objects]
+    inst = make_instance(ObjectClass.OCTANTS, objects)
+    lookup = octants._covers
+
+    def corrupted(octs, points):
+        return [m & ~(1 << m.bit_length() - 1) if m & (m - 1) else m
+                for m in lookup(octs, points)]
+
+    monkeypatch.setattr(octants, "_covers", corrupted)
+    joins = {tuple(map(max, o.apex, p.apex))
+             for i, o in enumerate(objects) for p in objects[i + 1:]}
+    for run in (color_octants, exact_chromatic):
+        with pytest.raises(AlgorithmInvariantError) as info:
+            run(inst)
+        witness = info.value.witness
+        assert all(type(v) is F for v in witness) and witness in joins, run
 
 
 def test_search_node_budget_raises_size_cap(monkeypatch):

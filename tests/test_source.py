@@ -61,6 +61,24 @@ def test_lcm_only_in_the_instance_frame():
     assert callers == {"core.py:frame"}
 
 
+def test_membership_read_only_in_core():
+    # One membership re-check: every other module asks core.covering_mask
+    # (or contains, or depth) rather than reading the per-class tests.
+    readers = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {}  # node -> its outermost enclosing function
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(func):
+                    owner.setdefault(node, func.name)
+        for node in ast.walk(tree):
+            if "MEMBERSHIP" in (getattr(node, "id", None), getattr(node, "attr", None)):
+                if isinstance(node.ctx, ast.Load):
+                    readers.add(f"{path.name}:{owner.get(node, '<module>')}")
+    assert readers == {"core.py:contains", "core.py:depth", "core.py:covering_mask"}
+
+
 def test_axis_table_read_only_in_oracle():
     # One coverage lookup: everything outside the oracle asks oracle.covers
     # or coverer_masks, and nothing else decodes the per-axis table's slots.
