@@ -1,10 +1,11 @@
 """Colorings for axis-parallel segments (4 colors) and rays (type-many colors).
 
-Segments: collinear segments on one line are a 1D interval family, so each
-line group is 2-colored by the interval colorer; horizontal groups use the
-palette {1, 2} and vertical groups {3, 4}, and crossing hyperedges are then
-bichromatic for free. So checking each line group's 2-coloring with the
-interval sweep verifies the whole segment coloring before it is returned.
+Segments: collinear segments on one line are a 1D interval family, so one
+loop over the line groups 2-colors each by intervals.color_line, which
+checks it with the interval sweep; horizontal groups use the palette
+{1, 2} and vertical groups {3, 4}, and crossing hyperedges are then
+bichromatic for free. So the whole segment coloring is verified before it
+is returned. Everything runs on the instance frame's ints.
 
 Rays of one to three orientations are colored by one dominating-ray rule.
 On each line, the extremal ray of an orientation contains every other ray
@@ -12,7 +13,8 @@ of that line and orientation. Each orientation present maps to a pair
 (color of its dominating rays, color of the rest): the two orientations
 that share an axis (or the one or two present) get (1, 2) and (2, 1) in
 ascending order, and a third orientation gets (3, 1). Four orientations
-clip every ray to a bounding box and reuse the segment colorer.
+clip the frame's rays to a bounding box one frame unit beyond every apex
+and go through the same line-group loop as segments.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from .core import (
-    AlgorithmInvariantError,
     Axis,
     ClassMismatchError,
     Coloring,
@@ -31,7 +32,7 @@ from .core import (
     Ray,
     Segment,
 )
-from .intervals import first_monochromatic, rank_endpoints, two_color
+from .intervals import color_line
 
 
 @dataclass(frozen=True)
@@ -68,33 +69,25 @@ def line_groups(segments: Sequence[Segment]) -> List[LineGroup]:
 
 
 def color_segments(instance: Instance) -> Coloring:
-    """Proper 4-coloring of an axis-parallel segment instance.
-
-    Each line group's 2-coloring is verified by the interval sweep before
-    the coloring is returned; a monochromatic point raises
-    AlgorithmInvariantError carrying the point and its covering set.
-    """
+    """Proper 4-coloring of an axis-parallel segment instance, each line
+    group verified by color_line on the instance frame."""
     if instance.cls is not ObjectClass.SEGMENTS:
         raise ClassMismatchError(f"expected segments, got {instance.cls.value}")
-    colors = [0] * instance.m
-    frame = instance.frame
-    for group in line_groups(frame.objects):
-        values, ranked = rank_endpoints(
-            [(frame.objects[i].lo, frame.objects[i].hi) for i in group.members]
-        )
-        sub = two_color(ranked)
-        bad = first_monochromatic(values, ranked, sub)
-        if bad is not None:
-            x, local = bad
-            x, line = Fraction(x, frame.unit), Fraction(group.line, frame.unit)
-            point = (x, line) if group.axis is Axis.HORIZONTAL else (line, x)
-            raise AlgorithmInvariantError(
-                "segment coloring is not proper: "
-                f"point ({point[0]}, {point[1]}) is monochromatic",
-                witness=(point, tuple(group.members[j] for j in local)),
-            )
-        offset = 0 if group.axis is Axis.HORIZONTAL else 2
-        for i, c in zip(group.members, sub):
+    return _color_lines(instance.frame.objects, instance.frame.unit)
+
+
+def _color_lines(segments: Sequence[Segment], unit: int) -> Coloring:
+    """Segments on a frame of the given unit, colored line group by line
+    group: horizontal groups in {1, 2}, vertical groups in {3, 4}."""
+    colors = [0] * len(segments)
+    for group in line_groups(segments):
+        line = group.line
+        if group.axis is Axis.HORIZONTAL:
+            place, offset = (lambda x: (x, Fraction(line, unit))), 0
+        else:
+            place, offset = (lambda x: (Fraction(line, unit), x)), 2
+        pairs = [(segments[i].lo, segments[i].hi) for i in group.members]
+        for i, c in zip(group.members, color_line(pairs, group.members, unit, place)):
             colors[i] = c + offset
     return Coloring(tuple(colors), 4)
 
@@ -135,10 +128,8 @@ def color_rays(instance: Instance) -> Coloring:
     rays = instance.objects
     present = ray_type_profile(rays).orientations_present
     if len(present) == 4:
-        segments, _box = clip_rays_to_box(rays)
-        return color_segments(
-            Instance(ObjectClass.SEGMENTS, tuple(segments), instance.weights, ())
-        )
+        frame = instance.frame
+        return _color_lines(clip_rays_to_box(frame.objects, frame.unit)[0], frame.unit)
     # (color of the dominating rays, color of the rest) per orientation: the
     # axis-sharing pair gets (1, 2) and (2, 1), a third orientation (3, 1).
     pair = sorted(present)

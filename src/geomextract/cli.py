@@ -23,7 +23,6 @@ import os
 import stat
 import sys
 import time
-from typing import Optional
 
 from . import axis2d, docio, extraction, generators, intervals, octants, oracle, render
 from .core import (
@@ -48,6 +47,16 @@ EXIT_PARSE = 2
 EXIT_CAP = 3
 EXIT_INVARIANT = 4
 EXIT_DEPTH = 5
+# The exit code of a failed command: the first row whose classes match.
+EXIT_CODES = (
+    ((ParseError, ClassMismatchError), EXIT_PARSE),
+    (SizeCapError, EXIT_CAP),
+    ((AlgorithmInvariantError, NoFourColoringError, ImproperColoringError),
+     EXIT_INVARIANT),
+    ((DepthPreconditionError, UncoverablePointError), EXIT_DEPTH),
+    (GeomExtractError, EXIT_INVARIANT),
+    ((ValueError, IndexError), EXIT_PARSE),
+)
 
 
 def color_instance(
@@ -63,18 +72,11 @@ def color_instance(
     return octants.color_octants(instance, size_cap)
 
 
-def _read_instance(path: str) -> Instance:
+def _read(path: str, parse):
+    """parse applied to the text of path; an unreadable path is a ParseError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return docio.parse_instance(fh.read())
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from None
-
-
-def _read_coloring(path: str) -> Coloring:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return docio.parse_coloring(fh.read())
+            return parse(fh.read())
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
 
@@ -142,24 +144,11 @@ def _write_out(path: str, text: str) -> None:
         ) from None
 
 
-def _report(command: str, instance: Optional[Instance], result: dict,
-            started: float) -> dict:
-    report = {
-        "command": command,
-        "instance_digest": docio.instance_digest(instance) if instance else None,
-        "result": result,
-        "timings_ms": int((time.perf_counter() - started) * 1000),
-    }
-    print(json.dumps(report, indent=2, sort_keys=True))
-    return report
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_gen(args) -> int:
-    started = time.perf_counter()
+def _cmd_gen(args) -> tuple:
     if args.kind == "interval-pair":
         instance = generators.gen_interval_pair()
     elif args.kind == "kbox":
@@ -181,18 +170,16 @@ def _cmd_gen(args) -> int:
         _write_out(args.out, text)
     else:
         sys.stdout.write(text)
-    _report("gen", instance, {
+    return instance, {
         "kind": args.kind,
         "m": instance.m,
         "points": len(instance.points),
         "written": args.out,
-    }, started)
-    return EXIT_OK
+    }
 
 
-def _cmd_color(args) -> int:
-    started = time.perf_counter()
-    instance = _read_instance(args.input)
+def _cmd_color(args) -> tuple:
+    instance = _read(args.input, docio.parse_instance)
     if args.klass and instance.cls is not ObjectClass(args.klass):
         raise ClassMismatchError(
             f"instance class {instance.cls.value} does not match --class {args.klass}"
@@ -214,15 +201,13 @@ def _cmd_color(args) -> int:
             )
     if args.out is not None:
         _write_out(args.out, docio.coloring_to_json(coloring))
-    _report("color", instance, result, started)
-    return EXIT_OK
+    return instance, result
 
 
-def _cmd_extract(args) -> int:
-    started = time.perf_counter()
-    instance = _read_instance(args.input)
+def _cmd_extract(args) -> tuple:
+    instance = _read(args.input, docio.parse_instance)
     if args.coloring is not None:
-        coloring = _read_coloring(args.coloring)
+        coloring = _read(args.coloring, docio.parse_coloring)
     else:
         coloring = color_instance(instance, args.size_cap)
     res = extraction.extract(instance, coloring)
@@ -235,17 +220,15 @@ def _cmd_extract(args) -> int:
     }
     if args.out is not None:
         _write_out(args.out, json.dumps(result, indent=2, sort_keys=True) + "\n")
-    _report("extract", instance, result, started)
-    return EXIT_OK
+    return instance, result
 
 
-def _cmd_verify(args) -> int:
-    started = time.perf_counter()
-    instance = _read_instance(args.input)
+def _cmd_verify(args) -> tuple:
+    instance = _read(args.input, docio.parse_instance)
     if (args.coloring is None) == (args.cover is None):
         raise ParseError("verify needs exactly one of --coloring or --cover")
     if args.coloring is not None:
-        coloring = _read_coloring(args.coloring)
+        coloring = _read(args.coloring, docio.parse_coloring)
         if len(coloring.colors) != instance.m:
             raise ParseError("coloring length does not match instance")
         verdict = oracle.check_proper(instance, coloring, size_cap=args.size_cap)
@@ -266,13 +249,11 @@ def _cmd_verify(args) -> int:
         if not verdict.covered:
             result["uncovered_point"] = [rational_repr(v) for v in verdict.point]
             result["point_index"] = verdict.point_index
-    _report("verify", instance, result, started)
-    return EXIT_OK
+    return instance, result
 
 
-def _cmd_bounds(args) -> int:
-    started = time.perf_counter()
-    instance = _read_instance(args.input)
+def _cmd_bounds(args) -> tuple:
+    instance = _read(args.input, docio.parse_instance)
     cover, weight = extraction.exact_min_cover(instance, size_cap=args.size_cap)
     result = {
         "min_cover": sorted(cover),
@@ -291,14 +272,13 @@ def _cmd_bounds(args) -> int:
     else:
         result["chromatic"] = None
         result["notes"] = f"chromatic skipped: {instance.m} objects over cap"
-    _report("bounds", instance, result, started)
-    return EXIT_OK
+    return instance, result
 
 
-def _cmd_render(args) -> int:
-    started = time.perf_counter()
-    instance = _read_instance(args.input)
-    coloring = _read_coloring(args.coloring) if args.coloring is not None else None
+def _cmd_render(args) -> tuple:
+    instance = _read(args.input, docio.parse_instance)
+    coloring = (_read(args.coloring, docio.parse_coloring)
+                if args.coloring is not None else None)
     if coloring is not None and len(coloring.colors) != instance.m:
         raise ParseError("coloring length does not match instance")
     svg = render.render_svg(instance, coloring)
@@ -306,12 +286,11 @@ def _cmd_render(args) -> int:
         _write_out(args.out, svg)
     else:
         sys.stdout.write(svg)
-    _report("render", instance, {
+    return instance, {
         "objects": instance.m,
         "points": len(instance.points),
         "written": args.out,
-    }, started)
-    return EXIT_OK
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -383,29 +362,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.func(args)
-    except (ParseError, ClassMismatchError) as exc:
+        instance, result = args.func(args)
+    except (GeomExtractError, ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except SizeCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except (AlgorithmInvariantError, NoFourColoringError,
-            ImproperColoringError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
-    except (DepthPreconditionError, UncoverablePointError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEPTH
-    except GeomExtractError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
-    except (ValueError, IndexError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return next(code for classes, code in EXIT_CODES if isinstance(exc, classes))
+    print(json.dumps({
+        "command": args.command,
+        "instance_digest": docio.instance_digest(instance),
+        "result": result,
+        "timings_ms": int((time.perf_counter() - started) * 1000),
+    }, indent=2, sort_keys=True))
+    return EXIT_OK
 
 
 def entry() -> None:

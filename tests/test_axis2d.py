@@ -211,6 +211,36 @@ def test_ray_colorings_frozen():
     assert digest[:16] == "41a71e31bbbc25df"
 
 
+def _four_orientation_ray_instances():
+    """Seeded gen_random rays of all four orientations, then rays whose
+    coordinates mix several fractional denominators."""
+    for seed in range(200):
+        inst = gen_random(ObjectClass.RAYS, 4 + seed % 9, seed)
+        if ray_type_profile(inst.objects).type == 4:
+            yield inst
+    rng = random.Random(1865)
+    for _ in range(40):
+        extra = [rng.randint(1, 4) for _ in range(rng.randint(0, 10))]
+        rays = [
+            Ray(o, tuple(F(rng.randint(-40, 40), rng.choice((1, 2, 3, 5, 6)))
+                         for _ in range(2)))
+            for o in [1, 2, 3, 4] + extra
+        ]
+        yield make_instance(ObjectClass.RAYS, rays)
+
+
+def test_four_orientation_rays_color_as_document_clipped_segments():
+    # color_rays clips the rays on the instance frame; its colors must be
+    # those of the segment colorer on the rays clipped in document Fractions.
+    count = 0
+    for inst in _four_orientation_ray_instances():
+        segments, _ = clip_rays_to_box(inst.objects)
+        clipped = Instance(ObjectClass.SEGMENTS, tuple(segments), inst.weights, ())
+        assert color_rays(inst) == color_segments(clipped), inst.objects
+        count += 1
+    assert count > 100
+
+
 def test_empty_ray_instance_rejected():
     with pytest.raises(ValueError):
         color_rays(Instance(ObjectClass.RAYS, (), (), ()))

@@ -12,13 +12,14 @@ from geomextract import (
     ObjectClass,
     check_proper,
     color_intervals,
+    color_rays,
     color_segments,
     gen_random,
     make_instance,
 )
 from geomextract import axis2d, intervals
 from geomextract.cli import main
-from geomextract.core import AlgorithmInvariantError, Axis, Interval, Segment
+from geomextract.core import AlgorithmInvariantError, Axis, Interval, Ray, Segment
 from geomextract.docio import instance_to_json
 from geomextract.intervals import (
     build_key_chain,
@@ -323,7 +324,7 @@ def test_improper_interval_coloring_raises_with_witness(monkeypatch, tmp_path, c
 
 
 def test_improper_segment_coloring_raises_with_witness(monkeypatch):
-    monkeypatch.setattr(axis2d, "two_color", lambda pairs: [1] * len(pairs))
+    monkeypatch.setattr(intervals, "two_color", lambda pairs: [1] * len(pairs))
     segments = [
         Segment(Axis.HORIZONTAL, F(0), F(0), F(2)),
         Segment(Axis.VERTICAL, F(9), F(0), F(4)),
@@ -332,6 +333,28 @@ def test_improper_segment_coloring_raises_with_witness(monkeypatch):
     with pytest.raises(AlgorithmInvariantError) as info:
         color_segments(make_instance(ObjectClass.SEGMENTS, segments))
     assert info.value.witness == ((F(9), F(3)), (1, 2))
+
+
+def test_improper_four_orientation_ray_coloring_raises_with_witness(
+    monkeypatch, tmp_path, capsys
+):
+    # The rays are clipped on the instance frame, but the witness is the
+    # document point and the covering rays' own indices.
+    monkeypatch.setattr(intervals, "two_color", lambda pairs: [1] * len(pairs))
+    rays = [
+        Ray(3, (F(5, 2), F(-1))),
+        Ray(1, (F(1, 3), F(1, 2))),
+        Ray(2, (F(0), F(1, 2))),
+        Ray(4, (F(5, 2), F(2))),
+    ]
+    inst = make_instance(ObjectClass.RAYS, rays)
+    with pytest.raises(AlgorithmInvariantError) as info:
+        color_rays(inst)
+    assert info.value.witness == ((F(5, 2), F(-1)), (0, 3))
+    doc = tmp_path / "rays.json"
+    doc.write_text(instance_to_json(inst))
+    assert main(["color", str(doc)]) == 4
+    assert "not proper" in capsys.readouterr().err
 
 
 # Wide fractional coordinates: denominators up to 6 on a range of 30, so

@@ -61,6 +61,19 @@ def test_lcm_only_in_the_instance_frame():
     assert callers == {"core.py:frame"}
 
 
+def test_instances_built_only_by_core_docio_and_generators():
+    # Colorers, checkers and render read the instance they are given (and
+    # its frame); building a second Instance would scale a second frame.
+    builders = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and {"Instance", "make_instance"} & {
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)
+            }:
+                builders.add(path.name)
+    assert builders == {"core.py", "docio.py", "generators.py"}
+
+
 def test_membership_read_only_in_core():
     # One membership re-check: every other module asks core.covering_mask
     # (or contains, or depth) rather than reading the per-class tests.
