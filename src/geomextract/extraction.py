@@ -15,7 +15,8 @@ with no grid walk. Both cover searches read one mask model: the
 inclusion-minimal coverer masks of the targets (oracle.minimal_masks; a
 cover of those covers every target) and hits[i], the mask of those points
 object i covers. They start from one greedy cover, and like the coloring
-search they raise SizeCapError past octants.SEARCH_NODE_BUDGET nodes.
+search, which exact_chromatic runs once over k = 2, 3, ..., they raise
+SizeCapError past octants.SEARCH_NODE_BUDGET nodes.
 """
 
 from __future__ import annotations
@@ -277,11 +278,12 @@ def exact_chromatic(
 ) -> int:
     """Minimum kappa admitting a proper coloring of the induced hypergraph.
 
-    The search reads the minimal edges only and visits the same nodes: a
-    monochromatic edge holds a monochromatic minimal one, placed no later.
-    Octants read them as the minimal covers of their pairwise apex joins
-    (octants.join_cover_edges, every octant, dominated ones and twins
-    included), the same list in the same order as the grid's, with no grid
+    One octants._search_coloring call tries kappa = 2, 3, ... on one
+    prepared order. It reads the minimal edges only and visits the same
+    nodes: a monochromatic edge holds a monochromatic minimal one, placed
+    no later. Octants read them as the minimal covers of their pairwise
+    apex joins (octants.join_cover_edges, every octant, dominated ones and
+    twins included), the grid's list in the grid's order, with no grid
     walk; every other class reads the grid's minimal edges.
     """
     if instance.m > size_cap:
@@ -294,7 +296,7 @@ def exact_chromatic(
         edges = oracle.minimal_masks(grid.masks)
     if not edges:
         return 1
-    for k in range(2, instance.m + 1):
-        if _search_coloring(instance.m, edges, max_colors=k) is not None:
-            return k
-    raise AlgorithmInvariantError("hypergraph not colorable with m colors")
+    colors = _search_coloring(instance.m, edges, range(2, instance.m + 1))
+    if colors is None:
+        raise AlgorithmInvariantError("hypergraph not colorable with m colors")
+    return max(colors)

@@ -266,12 +266,8 @@ def search_octant4(
         edges = octants.join_cover_edges(octs)
         if len(edges) != 6 or any(e.bit_count() != 2 for e in edges):
             continue
-        points = [
-            tuple(max(a, b) for a, b in zip(apexes[i], apexes[j]))
-            for i, j in map(oracle.bits, edges)
-        ]
         return make_instance(
-            ObjectClass.OCTANTS, octs, points=points,
+            ObjectClass.OCTANTS, octs, points=octants.joins(octs),
             meta={"generator": "octant4-search", "seed": seed},
         )
     return None

@@ -63,7 +63,8 @@ from .core import (
 )
 
 DEFAULT_SIZE_CAP = 40
-# nodes one exact search (coloring or cover) may visit before SizeCapError
+# nodes one exact search (a cover, or a coloring per bound) may visit before
+# SizeCapError; a coloring found on the first descent visits n + 1
 SEARCH_NODE_BUDGET = 1_000_000
 
 
@@ -122,16 +123,8 @@ def compute_cmax(octants: Sequence[Octant], unit: int = 1) -> Fraction:
     if not octants:
         raise ValueError("no octants")
     if len(octants) == 1:
-        a, b, c = octants[0].apex
-        return a + b + c + unit
-    best = None
-    for i in range(len(octants)):
-        ai, bi, ci = octants[i].apex
-        for j in range(i + 1, len(octants)):
-            aj, bj, cj = octants[j].apex
-            v = max(ai, aj) + max(bi, bj) + max(ci, cj)
-            best = v if best is None else max(best, v)
-    return best
+        return sum(octants[0].apex) + unit
+    return max(sum(join) for join in joins(octants))
 
 
 def project(octants: Sequence[Octant], c_max: Fraction) -> List[PlaneTriangle]:
@@ -173,6 +166,14 @@ def project(octants: Sequence[Octant], c_max: Fraction) -> List[PlaneTriangle]:
 # Minimal hyperedges from pairwise apex joins
 # ---------------------------------------------------------------------------
 
+def joins(octants: Sequence[Octant]) -> List[tuple]:
+    """The distinct apex joins (coordinatewise maxima) of all pairs, in
+    first-pair order."""
+    return list(dict.fromkeys(
+        tuple(map(max, o.apex, p.apex)) for o, p in combinations(octants, 2)
+    ))
+
+
 def join_cover_edges(octants: Sequence[Octant], unit: int = 1) -> List[int]:
     """Masks of the inclusion-minimal hyperedges, sorted by (size, members).
 
@@ -183,11 +184,9 @@ def join_cover_edges(octants: Sequence[Octant], unit: int = 1) -> List[int]:
     a mismatch raises AlgorithmInvariantError with that join, divided by
     the apexes' unit, as witness.
     """
-    joins = dict.fromkeys(
-        tuple(map(max, o.apex, p.apex)) for o, p in combinations(octants, 2)
-    )
+    points = joins(octants)
     first_join: Dict[int, tuple] = {}
-    for join, mask in zip(joins, _covers(octants, joins)):
+    for join, mask in zip(points, _covers(octants, points)):
         first_join.setdefault(mask, join)
     edges = oracle.minimal_masks(first_join)
     for e in edges:
@@ -201,7 +200,7 @@ def join_cover_edges(octants: Sequence[Octant], unit: int = 1) -> List[int]:
 
 
 # ---------------------------------------------------------------------------
-# Coloring search: greedy on the pair graph, exact backtracking fallback
+# Coloring search: backtracking along a degeneracy order
 # ---------------------------------------------------------------------------
 
 def _degeneracy_order(adjacency: List[int]) -> List[int]:
@@ -226,17 +225,18 @@ def node_budget(search: str) -> Callable[[], None]:
 
 
 def _search_coloring(
-    n: int, masks: List[int], max_colors: int = 4
+    n: int, masks: List[int], bounds: Iterable[int]
 ) -> Optional[List[int]]:
-    """A coloring with <= max_colors leaving no edge mask monochromatic.
+    """A coloring with at most k colors leaving no edge mask monochromatic,
+    for the first bound k that admits one; None if none does.
 
-    Greedy coloring along a degeneracy order of the size-2 edge graph first;
-    if that leaves a monochromatic edge or spills over max_colors, exact
-    backtracking on one mask per color class, which an edge must not fit
-    inside. It raises SizeCapError past SEARCH_NODE_BUDGET nodes.
+    A loop with one color per depth (no recursion) backtracks along the
+    reverse degeneracy order of the size-2 edge graph, on one mask per color
+    class. A vertex takes the lowest color, up to one past the largest
+    placed, that no placed pair neighbour has and that fills no larger edge:
+    the first descent is the greedy coloring, n + 1 nodes when it succeeds.
+    Each bound raises SizeCapError past its own SEARCH_NODE_BUDGET nodes.
     """
-    if n == 0:
-        return []
     adjacency = [0] * n
     for e in masks:
         if e.bit_count() == 2:
@@ -245,42 +245,39 @@ def _search_coloring(
             adjacency[b] |= 1 << a
 
     sequence = _degeneracy_order(adjacency)[::-1]
-    colors = [0] * n
-    for v in sequence:
-        taken = {colors[u] for u in oracle.bits(adjacency[v])}
-        colors[v] = next(c for c in range(1, n + 2) if c not in taken)
-    if max(colors) <= max_colors and oracle.monochromatic(masks, colors) is None:
-        return colors
-
-    # Exact fallback. Edges fully colored by a prefix of the order are
-    # checked as soon as their last vertex is placed.
     pos = {v: k for k, v in enumerate(sequence)}
+    # Edges other than pairs are checked once their last vertex is placed.
     by_last: List[List[int]] = [[] for _ in range(n)]
     for e in masks:
-        by_last[max(pos[v] for v in oracle.bits(e))].append(e)
-    classes = [0] * (max_colors + 1)  # classes[c]: mask of the vertices colored c
-    tick = node_budget("coloring search")
+        if e.bit_count() != 2:
+            by_last[max(pos[v] for v in oracle.bits(e))].append(e)
 
-    def rec(k: int, used: int) -> bool:
+    for max_colors in bounds:
+        tick = node_budget("coloring search")
+        classes = [0] * (max_colors + 1)  # classes[c]: mask of the vertices colored c
+        picked = [0] * n  # picked[k]: color of sequence[k]
+        used = [0] * (n + 1)  # used[k]: largest color among the first k
+        k = c = 0  # c: the last color tried at depth k
         tick()
-        if k == n:
-            return True
-        v = sequence[k]
-        for c in range(1, min(max_colors, used + 1) + 1):
-            if adjacency[v] & classes[c]:
+        while k < n:
+            v = sequence[k]
+            c += 1
+            if c > min(max_colors, used[k] + 1):  # depth k exhausted: back up
+                if k == 0:
+                    break
+                k, c = k - 1, picked[k - 1]
+                classes[c] ^= 1 << sequence[k]
                 continue
-            placed = classes[c] | 1 << v
-            if any(e & placed == e for e in by_last[k]):
+            grown = classes[c] | 1 << v
+            if adjacency[v] & classes[c] or any(e & grown == e for e in by_last[k]):
                 continue
-            classes[c] = placed
-            if rec(k + 1, max(used, c)):
-                return True
-            classes[c] ^= 1 << v
-        return False
-
-    if not rec(0, 0):
-        return None
-    return [next(c for c, m in enumerate(classes) if m >> v & 1) for v in range(n)]
+            classes[c] = grown
+            picked[k], used[k + 1] = c, max(used[k], c)
+            k, c = k + 1, 0
+            tick()
+        else:
+            return [picked[pos[v]] for v in range(n)]
+    return None
 
 
 def color_triangles(
@@ -300,7 +297,7 @@ def color_triangles(
     if not triangles:
         return Coloring((), 4)
     edges = oracle.minimal_masks(oracle.enumerate_triangle_hyperedges(triangles).masks)
-    colors = _search_coloring(len(triangles), edges, max_colors=4)
+    colors = _search_coloring(len(triangles), edges, (4,))
     if colors is None:
         raise NoFourColoringError(
             "no proper 4-coloring found by exhaustive search", objects=triangles
@@ -354,7 +351,7 @@ def color_octants(instance: Instance, size_cap: int = DEFAULT_SIZE_CAP) -> Color
             f"{len(kept)} nondominated octants exceed cap {DEFAULT_SIZE_CAP}"
         )
     edges = join_cover_edges([scaled[i] for i in kept], instance.frame.unit)
-    sub_colors = _search_coloring(len(kept), edges, max_colors=4)
+    sub_colors = _search_coloring(len(kept), edges, (4,))
     if sub_colors is None:
         raise NoFourColoringError(
             "no proper 4-coloring found by exhaustive search",

@@ -178,6 +178,19 @@ def test_bounds_chromatic_cap_reaches_the_oracle(tmp_path, capsys):
     assert report["result"]["chromatic"] == 2
 
 
+def test_bounds_on_a_deep_chain_exits_0(tmp_path, capsys):
+    # 1,000 intervals [k, k + 3]: the coloring search goes 1,000 deep
+    p = tmp_path / "chain.json"
+    p.write_text(json.dumps({
+        "class": "intervals",
+        "objects": [{"a": k, "b": k + 3} for k in range(1000)],
+    }))
+    code, report, _ = run(capsys, "bounds", str(p), "--size-cap", "1000",
+                          "--chromatic-cap", "1000")
+    assert code == 0
+    assert report["result"]["chromatic"] == 2
+
+
 def test_negative_caps_exit_2(tmp_path, capsys):
     p = tmp_path / "pair.json"
     run(capsys, "gen", "--kind", "interval-pair", "--out", str(p))

@@ -331,6 +331,31 @@ def test_chromatic_examples():
     assert exact_chromatic(gen_kbox(2)) == 2
 
 
+def test_chromatic_of_a_deep_chain_needs_no_recursion():
+    # 1,000 intervals [k, k + 3]: every minimal edge is a run of three (two
+    # pairs at the ends), and a search that succeeds goes 1,000 deep.
+    chain = make_instance(
+        ObjectClass.INTERVALS, [Interval(F(k), F(k + 3)) for k in range(1000)]
+    )
+    assert exact_chromatic(chain, size_cap=1000) == 2
+
+
+def test_exact_chromatic_searches_once(monkeypatch):
+    # One search walks every color bound on one prepared order.
+    calls = []
+    search = extraction._search_coloring
+
+    def counted(n, masks, bounds):
+        calls.append(list(bounds))
+        return search(n, masks, calls[-1])
+
+    monkeypatch.setattr(extraction, "_search_coloring", counted)
+    for inst, chromatic in ((gen_rayfan(3), 3), (gen_octant4(), 4), (gen_kbox(2), 2)):
+        calls.clear()
+        assert exact_chromatic(inst) == chromatic
+        assert calls == [list(range(2, inst.m + 1))]
+
+
 def test_chromatic_size_cap():
     with pytest.raises(SizeCapError):
         exact_chromatic(gen_kbox(3))

@@ -525,14 +525,72 @@ def test_corrupted_join_cover_raises_with_a_join_witness(monkeypatch):
 
 
 def test_search_node_budget_raises_size_cap(monkeypatch):
-    # A triangle of pairs is not 2-colorable: greedy takes three colors and
-    # the backtracking visits exactly three nodes before giving up.
+    # A triangle of pairs is not 2-colorable: the search visits exactly
+    # three nodes (the root and two placements) before giving up.
     triangle = [0b011, 0b110, 0b101]
     monkeypatch.setattr(octants, "SEARCH_NODE_BUDGET", 3)
-    assert octants._search_coloring(3, triangle, max_colors=2) is None
+    assert octants._search_coloring(3, triangle, (2,)) is None
     monkeypatch.setattr(octants, "SEARCH_NODE_BUDGET", 2)
     with pytest.raises(SizeCapError):
-        octants._search_coloring(3, triangle, max_colors=2)
+        octants._search_coloring(3, triangle, (2,))
+
+
+def _greedy_reference(n, masks):
+    """The greedy pass the coloring search once ran before backtracking:
+    along the reverse degeneracy order of the pair graph, each vertex takes
+    the lowest color that no pair neighbour colored before it has."""
+    adjacency = [0] * n
+    for e in masks:
+        if e.bit_count() == 2:
+            a, b = oracle.bits(e)
+            adjacency[a] |= 1 << b
+            adjacency[b] |= 1 << a
+    colors = [0] * n
+    for v in octants._degeneracy_order(adjacency)[::-1]:
+        taken = {colors[u] for u in oracle.bits(adjacency[v])}
+        colors[v] = next(c for c in range(1, n + 2) if c not in taken)
+    return colors
+
+
+def test_first_descent_is_the_greedy_coloring(monkeypatch):
+    # Wherever the greedy coloring fits k colors and is proper, the search
+    # returns it after n + 1 nodes: the root and one placement per vertex.
+    ticks = []
+    budget = octants.node_budget
+
+    def counted(search):
+        tick = budget(search)
+
+        def counting():
+            ticks.append(search)
+            tick()
+
+        return counting
+
+    monkeypatch.setattr(octants, "node_budget", counted)
+    rng = random.Random(24)
+    graphs = []
+    for _ in range(400):
+        n = rng.randint(2, 12)
+        sizes = [min(n, rng.choice([2, 2, 3, 4])) for _ in range(rng.randint(1, 20))]
+        masks = {sum(1 << v for v in rng.sample(range(n), size)) for size in sizes}
+        graphs.append((n, oracle.minimal_masks(masks)))
+    for _ in range(60):
+        octs = _messy_octants(rng)
+        graphs.append((len(octs), join_cover_edges(octs)))
+    for n in (10, 20, 30, 40):
+        inst = _perfbench_antichain(n)
+        graphs.append((n, join_cover_edges(inst.frame.objects, inst.frame.unit)))
+    settled = 0
+    for n, masks in graphs:
+        greedy = _greedy_reference(n, masks)
+        for k in range(2, 6):
+            if max(greedy) <= k and oracle.monochromatic(masks, greedy) is None:
+                ticks.clear()
+                assert octants._search_coloring(n, masks, (k,)) == greedy, (n, masks, k)
+                assert len(ticks) == n + 1
+                settled += 1
+    assert settled >= 1000
 
 
 def test_exhausted_search_reports_kept_octants(monkeypatch):

@@ -104,28 +104,37 @@ def test_axis_table_read_only_in_oracle():
 
 
 def test_search_loops_build_no_sets_or_tuples():
-    # One hyperedge type: the nested rec of every exact search (coloring,
-    # vertex cover, set cover) reads int masks, and builds no frozenset, set
-    # or tuple per node.
-    recs, found = [], []
+    # One hyperedge type: the node loop of every exact search reads int
+    # masks, and builds no frozenset, set or tuple per node. The cover
+    # searches (vertex cover, set cover) visit their nodes in a nested rec;
+    # the coloring search in a while loop that ticks the node budget, with
+    # no rec, so no search depth overflows the stack.
+    loops, found = [], []
     for path in SOURCES:
         for func in ast.parse(path.read_text(encoding="utf-8")).body:
             if not isinstance(func, ast.FunctionDef):
                 continue
-            for rec in ast.walk(func):
-                if rec is func or getattr(rec, "name", None) != "rec":
+            for loop in ast.walk(func):
+                if loop is not func and getattr(loop, "name", None) == "rec":
+                    kind = "rec"
+                elif isinstance(loop, ast.While) and any(
+                    getattr(getattr(node, "func", None), "id", None) == "tick"
+                    for node in ast.walk(loop)
+                ):
+                    kind = "loop"
+                else:
                     continue
-                recs.append(f"{path.name}:{func.name}")
+                loops.append(f"{path.name}:{func.name}:{kind}")
                 found += [
                     f"{path.name}:{node.lineno}"
-                    for node in ast.walk(rec)
+                    for node in ast.walk(loop)
                     if isinstance(node, ast.SetComp)
                     or isinstance(node, ast.Call)
                     and getattr(node.func, "id", None) in {"frozenset", "set", "tuple"}
                 ]
-    assert sorted(recs) == [
-        "extraction.py:_min_weight_set_cover",
-        "extraction.py:_min_weight_vertex_cover",
-        "octants.py:_search_coloring",
+    assert sorted(loops) == [
+        "extraction.py:_min_weight_set_cover:rec",
+        "extraction.py:_min_weight_vertex_cover:rec",
+        "octants.py:_search_coloring:loop",
     ]
     assert found == []
