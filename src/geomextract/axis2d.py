@@ -7,14 +7,14 @@ checks it with the interval sweep; horizontal groups use the palette
 bichromatic for free. So the whole segment coloring is verified before it
 is returned. Everything runs on the instance frame's ints.
 
-Rays of one to three orientations are colored by one dominating-ray rule.
-On each line, the extremal ray of an orientation contains every other ray
-of that line and orientation. Each orientation present maps to a pair
-(color of its dominating rays, color of the rest): the two orientations
-that share an axis (or the one or two present) get (1, 2) and (2, 1) in
-ascending order, and a third orientation gets (3, 1). Four orientations
-clip the frame's rays to a bounding box one frame unit beyond every apex
-and go through the same line-group loop as segments.
+Rays of one to three orientations are colored by one dominating-ray rule:
+on each line, the extremal ray of an orientation contains the others of
+its line and orientation. Each orientation maps to (color of its
+dominating rays, color of the rest): the two sharing an axis (or the one
+or two present) get (1, 2) and (2, 1) in ascending order, a third gets
+(3, 1), and the lemma is checked on the document rays before returning.
+Four orientations clip the frame's rays to a box one frame unit beyond
+every apex and go through the same line-group loop as segments.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from .core import (
+    AlgorithmInvariantError,
     Axis,
     ClassMismatchError,
     Coloring,
@@ -31,6 +32,7 @@ from .core import (
     ObjectClass,
     Ray,
     Segment,
+    contains,
 )
 from .intervals import color_line
 
@@ -141,6 +143,20 @@ def color_rays(instance: Instance) -> Coloring:
     colors = tuple(
         palette[r.orientation][0 if i in doms else 1] for i, r in enumerate(rays)
     )
+    # The lemma the palettes rely on: per (orientation, line), exactly one ray
+    # has the first color, and it contains every apex of its group.
+    groups: Dict[tuple, list] = {}
+    for i, r in enumerate(rays):
+        groups.setdefault((r.orientation, _ray_line(r)), []).append(i)
+    for (o, _), members in groups.items():
+        firsts = [i for i in members if colors[i] == palette[o][0]]
+        for i in members:
+            if len(firsts) != 1 or not contains(rays[firsts[0]], rays[i].apex):
+                apex = rays[i].apex
+                raise AlgorithmInvariantError(
+                    f"dominating-ray lemma fails at apex ({', '.join(map(str, apex))})",
+                    witness=(apex, tuple(members)),
+                )
     return Coloring(colors, max(2, len(present)))
 
 

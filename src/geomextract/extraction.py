@@ -71,9 +71,9 @@ def extract(instance: Instance, coloring: Coloring) -> ExtractionResult:
                 f"target point {p} has depth {mask.bit_count()} < 2", point=p
             )
 
-    class_weight = dict.fromkeys(range(1, coloring.kappa + 1), Fraction(0))
+    class_weight: dict = {}  # over the colors in use, whatever kappa is
     for i, c in enumerate(coloring.colors):
-        class_weight[c] += instance.weights[i]
+        class_weight[c] = class_weight.get(c, 0) + instance.weights[i]
     best_color = max(class_weight, key=lambda c: (class_weight[c], -c))
 
     extracted = frozenset(i for i, c in enumerate(coloring.colors) if c == best_color)

@@ -11,11 +11,10 @@ case raises AlgorithmInvariantError instead of being colored silently.
 Cost per component of n intervals: O(n log n). The chain is one sort plus
 a heap walk, and each non-key finds its containment case by bisection over
 the chain. color_line colors one line's intervals and checks the result by
-an endpoint sweep (first_monochromatic, also O(n log n)) before returning
+an endpoint sweep (find_monochromatic, also O(n log n)) before returning
 it; color_intervals and the segment and ray colorers all go through it.
-It replaces the endpoints by their integer ranks once, and the colorer and
-the sweep both read them: ranks keep every comparison between endpoints,
-and compare and hash far faster than Fractions.
+The colorer and the sweep only compare endpoints, so both read the
+instance frame's ints as they are; no second ranking is built.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from .core import (
     ObjectClass,
 )
 
-Pair = Tuple[Fraction, Fraction]  # (a, b), a < b; the colorer also takes ranks
+Pair = Tuple[Fraction, Fraction]  # (a, b), a < b; frame ints on the coloring path
 
 
 @dataclass(frozen=True)
@@ -192,18 +191,11 @@ def _color_component(pairs: Sequence[Pair], chain: KeyChain, colors: dict) -> No
         colors[i] = 3 - colors[keys[lo]]
 
 
-def rank_endpoints(pairs: Sequence[Pair]) -> Tuple[List[Fraction], List[Tuple[int, int]]]:
-    """The distinct endpoints in order, and each pair as their ranks."""
-    values = sorted({x for pair in pairs for x in pair})
-    rank = {x: r for r, x in enumerate(values)}
-    return values, [(rank[a], rank[b]) for a, b in pairs]
-
-
 def two_color(pairs: Sequence[Pair]) -> List[int]:
     """Colors in {1, 2} for a family of (a, b) intervals, a < b.
 
-    Only compares endpoints, so the pairs may be their ranks; the colorers
-    pass the ranks from rank_endpoints.
+    Only compares endpoints, so any ordered numbers do; color_line passes
+    the frame's ints.
     """
     colors: dict = {}
     for component in connected_components(pairs):
@@ -218,48 +210,42 @@ def find_monochromatic(
     """A point of depth >= 2 whose covering intervals share one color.
 
     Returns (x, covering indices) for the leftmost such point, or None when
-    the coloring of the closed intervals is proper.
-    """
-    return first_monochromatic(*rank_endpoints(pairs), colors)
+    the coloring of the closed intervals is proper. The endpoints may be
+    any ordered numbers (frame ints or Fractions).
 
-
-def first_monochromatic(
-    values: Sequence[Fraction], ranked: Sequence[Tuple[int, int]], colors: Sequence[int]
-) -> Optional[Tuple[Fraction, Tuple[int, ...]]]:
-    """find_monochromatic on intervals given as ranks into values, the
-    sorted distinct endpoints (as rank_endpoints returns them).
-
-    Sweeps the endpoints in order with per-color counts of the active
+    Groups the colors starting and ending at each endpoint, then sweeps the
+    distinct endpoints in order with per-color counts of the active
     intervals: each endpoint is checked after the intervals starting there
     are added, and the open gap to its right after those ending there are
-    removed (the gap's witness is its midpoint).
+    removed (the gap's witness is its midpoint, a Fraction).
     """
-    starting: List[list] = [[] for _ in values]  # colors starting at rank r
-    ending: List[list] = [[] for _ in values]
-    for c, (a, b) in zip(colors, ranked):
-        starting[a].append(c)
-        ending[b].append(c)
+    starting: dict = {}  # endpoint -> colors of the intervals starting there
+    ending: dict = {}
+    for c, (a, b) in zip(colors, pairs):
+        starting.setdefault(a, []).append(c)
+        ending.setdefault(b, []).append(c)
+    values = sorted(starting.keys() | ending.keys())
     count: dict = {}  # color -> active intervals of that color
     active = 0
     for r, x in enumerate(values):
-        for c in starting[r]:
+        for c in starting.get(x, ()):
             count[c] = count.get(c, 0) + 1
-        active += len(starting[r])
+            active += 1
         if active >= 2 and len(count) == 1:
-            return x, _covering(ranked, r, r)
-        for c in ending[r]:
+            return x, _covering(pairs, x, x)
+        for c in ending.get(x, ()):
             count[c] -= 1
+            active -= 1
             if not count[c]:
                 del count[c]
-        active -= len(ending[r])
         if active >= 2 and len(count) == 1:
-            return Fraction(x + values[r + 1], 2), _covering(ranked, r, r + 1)
+            return Fraction(x + values[r + 1], 2), _covering(pairs, x, values[r + 1])
     return None
 
 
-def _covering(ranked: Sequence[Tuple[int, int]], lo: int, hi: int) -> Tuple[int, ...]:
-    """The intervals containing every endpoint rank from lo to hi."""
-    return tuple(i for i, (a, b) in enumerate(ranked) if a <= lo and hi <= b)
+def _covering(pairs: Sequence[Pair], lo, hi) -> Tuple[int, ...]:
+    """The intervals containing [lo, hi]."""
+    return tuple(i for i, (a, b) in enumerate(pairs) if a <= lo and hi <= b)
 
 
 def color_line(
@@ -267,15 +253,14 @@ def color_line(
 ) -> List[int]:
     """Verified colors in {1, 2} of one line's (lo, hi) pairs on a frame.
 
-    The endpoints are ranked once, two_color colors the ranks and
-    first_monochromatic checks the result. A monochromatic point raises
-    AlgorithmInvariantError with witness (place(x), covering members):
-    x is the point in document Fractions (the frame value over unit), and
-    pair j is members[j].
+    two_color colors the pairs as they are and find_monochromatic checks
+    the result, so the two share only the frame's ints. A monochromatic
+    point raises AlgorithmInvariantError with witness (place(x), covering
+    members): x is the point in document Fractions (the frame value over
+    unit), and pair j is members[j].
     """
-    values, ranked = rank_endpoints(pairs)
-    colors = two_color(ranked)
-    bad = first_monochromatic(values, ranked, colors)
+    colors = two_color(pairs)
+    bad = find_monochromatic(pairs, colors)
     if bad is not None:
         point = place(Fraction(bad[0], unit))
         raise AlgorithmInvariantError(

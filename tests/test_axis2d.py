@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -19,8 +20,11 @@ from geomextract import (
     make_instance,
     ray_type_profile,
 )
+from geomextract import axis2d
 from geomextract.axis2d import dominating_rays, line_groups
-from geomextract.core import Axis, Ray, Segment
+from geomextract.cli import main
+from geomextract.core import AlgorithmInvariantError, Axis, Ray, Segment
+from geomextract.docio import instance_to_json
 
 
 def _seg(axis, line, lo, hi):
@@ -169,6 +173,44 @@ def test_type3_vertical_pair_rotation():
     assert col.kappa == 3
     assert col.used_colors() <= {1, 2, 3}
     assert check_proper(inst, col).proper
+
+
+def test_ray_palettes_separate_first_colors_for_every_orientation_subset():
+    # Two rays per orientation on one line: the dominating one takes its
+    # orientation's first color, the other its second.
+    rays_of = {
+        1: [Ray(1, (F(0), F(0))), Ray(1, (F(1), F(0)))],
+        2: [Ray(2, (F(0), F(1))), Ray(2, (F(1), F(1)))],
+        3: [Ray(3, (F(5), F(0))), Ray(3, (F(5), F(1)))],
+        4: [Ray(4, (F(6), F(0))), Ray(4, (F(6), F(1)))],
+    }
+    subsets = [s for k in (1, 2, 3) for s in itertools.combinations(range(1, 5), k)]
+    assert len(subsets) == 14
+    for subset in subsets:
+        rays = [r for o in subset for r in rays_of[o]]
+        col = color_rays(make_instance(ObjectClass.RAYS, rays))
+        doms = dominating_rays(rays)
+        firsts = []
+        for j in range(0, len(rays), 2):
+            dom, rest = (j, j + 1) if j in doms else (j + 1, j)
+            assert col.colors[dom] != col.colors[rest], subset
+            firsts.append(col.colors[dom])
+        assert len(set(firsts)) == len(firsts), subset
+
+
+def test_dominating_ray_lemma_is_checked(monkeypatch, tmp_path, capsys):
+    # With no dominating ray, every ray takes its second color: the check
+    # raises (exit 4) instead of returning an unverified coloring.
+    monkeypatch.setattr(axis2d, "dominating_rays", lambda rays: set())
+    rays = [Ray(1, (F(0), F(0))), Ray(1, (F(1, 2), F(0))), Ray(3, (F(2), F(1)))]
+    inst = make_instance(ObjectClass.RAYS, rays)
+    with pytest.raises(AlgorithmInvariantError) as info:
+        color_rays(inst)
+    assert info.value.witness == ((F(0), F(0)), (0, 1))
+    doc = tmp_path / "rays.json"
+    doc.write_text(instance_to_json(inst))
+    assert main(["color", str(doc)]) == 4
+    assert "dominating-ray lemma" in capsys.readouterr().err
 
 
 def test_type_counts_cap_colors():

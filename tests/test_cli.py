@@ -212,6 +212,23 @@ def test_improper_supplied_coloring_exit_4(tmp_path, capsys):
     assert code == 4
 
 
+def test_extract_cost_does_not_grow_with_kappa(tmp_path, capsys):
+    # The class weights run over the colors in use; allocating every color
+    # up to kappa took seconds at kappa 4*10**6 and cannot finish at 10**12.
+    inst = tmp_path / "pair.json"
+    run(capsys, "gen", "--kind", "interval-pair", "--out", str(inst))
+    reports = []
+    for kappa in (2, 10**12):
+        col = tmp_path / f"col-{kappa}.json"
+        col.write_text(json.dumps({"kappa": kappa, "colors": [1, 2]}))
+        code, report, _ = run(capsys, "extract", str(inst), "--coloring", str(col))
+        assert code == 0
+        assert report["result"].pop("kappa") == kappa
+        report.pop("timings_ms")
+        reports.append(report)
+    assert reports[0] == reports[1]
+
+
 def test_depth_precondition_exit_5(tmp_path, capsys):
     p = tmp_path / "shallow.json"
     p.write_text(json.dumps({

@@ -382,7 +382,14 @@ def test_sweep_agrees_with_grid_oracle_on_intervals(pairs, rng):
     inst = make_instance(ObjectClass.INTERVALS, [Interval(a, b) for a, b in pairs])
     colors = [rng.randint(1, 2) for _ in pairs]
     verdict = check_proper(inst, Coloring(tuple(colors), 2))
-    assert (find_monochromatic(pairs, colors) is None) == verdict.proper
+    bad = find_monochromatic(pairs, colors)
+    assert (bad is None) == verdict.proper
+    # The same sweep on the frame's ints finds the same point and coverers.
+    on_frame = find_monochromatic(inst.frame.extents[0], colors)
+    if bad is None:
+        assert on_frame is None
+    else:
+        assert (F(on_frame[0], inst.frame.unit), on_frame[1]) == bad
     col = color_intervals(inst)
     assert find_monochromatic(pairs, col.colors) is None
     assert check_proper(inst, col).proper
