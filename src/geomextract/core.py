@@ -9,14 +9,17 @@ and covering_mask() gives the int mask of the objects containing a point,
 on whichever frame the objects and the point share.
 
 The fast paths read ints: Instance.frame, the instance scaled once by L = 2 *
-lcm of the denominators of all object and target-point coordinates, built on
-first use. Witnesses leave as Fraction(W, L); depth() stays on Fractions.
+lcm of the denominators of all object and target-point coordinates and its
+weights by D = lcm of theirs, built on first use, refused past MAX_UNIT_BITS
+bits. Witnesses leave as Fraction(W, L), weights as Fraction(w, D); depth()
+stays on Fractions.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -24,6 +27,8 @@ from functools import cached_property, partial
 from typing import Any, Iterable, Sequence, Union
 
 Point = tuple  # tuple of Fraction, length 1, 2 or 3
+
+MAX_UNIT_BITS = 2**16  # bit length past which Instance.frame refuses a unit
 
 
 # ---------------------------------------------------------------------------
@@ -125,10 +130,14 @@ def parse_rational(value: Union[int, str, Fraction]) -> Fraction:
 
 
 def rational_repr(value: Fraction) -> Union[int, str]:
-    """Canonical document form: plain int when integral, else "p/q"."""
-    if value.denominator == 1:
-        return int(value)
-    return f"{value.numerator}/{value.denominator}"
+    """Canonical document form: plain int when integral, else "p/q"; a
+    number past the int-to-str digit limit has none, and is a SizeCapError."""
+    try:
+        text = str(value)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise SizeCapError(f"number over the {limit}-digit string limit") from None
+    return value.numerator if value.denominator == 1 else text
 
 
 # ---------------------------------------------------------------------------
@@ -342,12 +351,13 @@ def _scaled(obj: GeomObject, s) -> GeomObject:
 
 @dataclass(frozen=True)
 class Frame:
-    """Instance.frame: coordinate v is v * unit. Each part is built on first
-    use: extents[d][i], object i's (lo, hi) on axis d (None if open), the
-    target points, and the objects."""
+    """Instance.frame: coordinate v is v * unit, weight w is w * weight_unit.
+    Each part is built on first use: extents[d][i], object i's (lo, hi) on
+    axis d (None if open), the target points, the objects, and the weights."""
 
     unit: int
-    source: tuple = field(repr=False)  # (per-axis extents, objects, points), unscaled
+    weight_unit: int
+    source: tuple = field(repr=False)  # (extents, objects, points, weights), unscaled
 
     @cached_property
     def extents(self) -> tuple:
@@ -361,6 +371,10 @@ class Frame:
     @cached_property
     def objects(self) -> tuple:
         return tuple(_scaled(o, partial(_scale, self.unit)) for o in self.source[1])
+
+    @cached_property
+    def weights(self) -> tuple:
+        return tuple(map(partial(_scale, self.weight_unit), self.source[3]))
 
 
 # ---------------------------------------------------------------------------
@@ -390,8 +404,9 @@ class Instance:
                 raise ValueError(f"weights must be rationals, got {w!r}")
             if w <= 0:
                 raise ValueError(f"weights must be positive, got {w}")
+        dim = self.cls.dimension
         for p in self.points:
-            if len(p) != self.cls.dimension:
+            if len(p) != dim:
                 raise ClassMismatchError(
                     f"point {p!r} has wrong dimension for {self.cls.value}"
                 )
@@ -402,14 +417,23 @@ class Instance:
 
     @cached_property
     def frame(self) -> Frame:
-        """This instance on integers, computed on first use and then kept."""
+        """This instance on integers, computed on first use and then kept. L
+        and D grow one distinct denominator at a time, to stop at the cap."""
         boxes = [_box(o) for o in self.objects]
-        unit = 2 * math.lcm(
-            *{v.denominator for b in boxes for ext in b for v in ext if v is not None},
-            *{v.denominator for p in self.points for v in p},
-        )
+        units = []
+        for denominators in (
+            {2 * v.denominator for b in boxes for ext in b for v in ext if v is not None}
+            | {2 * v.denominator for p in self.points for v in p} | {2},
+            {w.denominator for w in self.weights},
+        ):
+            unit = 1
+            for d in denominators:
+                unit = math.lcm(unit, d)
+                if unit.bit_length() > MAX_UNIT_BITS:
+                    raise SizeCapError(f"{unit.bit_length()}-bit frame unit over the cap")
+            units.append(unit)
         axes = tuple(tuple(b[d] for b in boxes) for d in range(self.cls.dimension))
-        return Frame(unit, (axes, self.objects, self.points))
+        return Frame(*units, (axes, self.objects, self.points, self.weights))
 
     def indices(self) -> range:
         return range(len(self.objects))

@@ -119,7 +119,8 @@ def parse_instance(doc: Any) -> Instance:
     raw_points = doc.get("points", [])
     if not isinstance(raw_points, list):
         raise ParseError('"points" must be an array')
-    points = [_parse_point(p, cls.dimension) for p in raw_points]
+    dim = cls.dimension
+    points = [_parse_point(p, dim) for p in raw_points]
 
     try:
         return make_instance(cls, objects, weights, points, meta=doc.get("meta"))

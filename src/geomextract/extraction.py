@@ -16,7 +16,8 @@ inclusion-minimal coverer masks of the targets (oracle.minimal_masks; a
 cover of those covers every target) and hits[i], the mask of those points
 object i covers. They start from one greedy cover, and like the coloring
 search, which exact_chromatic runs once over k = 2, 3, ..., they raise
-SizeCapError past octants.SEARCH_NODE_BUDGET nodes.
+SizeCapError past octants.SEARCH_NODE_BUDGET nodes. extract and the cover
+searches add the ints of Frame.weights (w * D); Fractions are only results.
 """
 
 from __future__ import annotations
@@ -72,8 +73,8 @@ def extract(instance: Instance, coloring: Coloring) -> ExtractionResult:
             )
 
     class_weight: dict = {}  # over the colors in use, whatever kappa is
-    for i, c in enumerate(coloring.colors):
-        class_weight[c] = class_weight.get(c, 0) + instance.weights[i]
+    for w, c in zip(instance.frame.weights, coloring.colors):
+        class_weight[c] = class_weight.get(c, 0) + w
     best_color = max(class_weight, key=lambda c: (class_weight[c], -c))
 
     extracted = frozenset(i for i, c in enumerate(coloring.colors) if c == best_color)
@@ -88,41 +89,38 @@ def extract(instance: Instance, coloring: Coloring) -> ExtractionResult:
     sol = frozenset(instance.indices()) - extracted
     w_all = sum(class_weight.values())
     w_extracted = class_weight[best_color]
-    if w_extracted * coloring.kappa < w_all:
+    ratio = Fraction(w_all, w_extracted)
+    if ratio > coloring.kappa:
         raise AlgorithmInvariantError("heaviest color class below W/kappa")
-    return ExtractionResult(
-        sol, extracted, w_extracted, w_all / w_extracted, coloring.kappa
-    )
+    w_extracted = Fraction(w_extracted, instance.frame.weight_unit)
+    return ExtractionResult(sol, extracted, w_extracted, ratio, coloring.kappa)
 
 
 # ---------------------------------------------------------------------------
 # Exact minimum-weight cover
 # ---------------------------------------------------------------------------
 
-def _greedy(hits: Sequence[int], weights: Sequence[Fraction], uncovered: int) -> int:
+def _greedy(hits: Sequence[int], weights: Sequence[int], uncovered: int) -> int:
     """Mask of a greedy cover of the uncovered points.
 
     Each step takes the least weight per newly covered point, ties to the
-    lowest index. With w_i = n_i/d_i covering c_i new points, n_i/(d_i c_i)
-    is compared by cross-multiplying, with no Fraction division.
+    lowest index: w_i covering c_i new points beats the pick's w / c iff
+    w_i * c < w * c_i, with no division.
     """
-    ratios = [w.as_integer_ratio() for w in weights]
     chosen = 0
     while uncovered:
-        pick, best_n, best_d = -1, 0, 1  # pick's weight per point: best_n/best_d
+        pick, best_w, best_count = -1, 1, 0  # 1/0: any covering object beats it
         for i, h in enumerate(hits):
             count = (h & uncovered).bit_count()
-            if count:
-                n, d = ratios[i]
-                if pick < 0 or n * best_d < best_n * d * count:
-                    pick, best_n, best_d = i, n, d * count
+            if count and weights[i] * best_count < best_w * count:
+                pick, best_w, best_count = i, weights[i], count
         chosen |= 1 << pick
         uncovered &= ~hits[pick]
     return chosen
 
 
 def _min_weight_vertex_cover(
-    points: Sequence[int], hits: Sequence[int], weights: Sequence[Fraction]
+    points: Sequence[int], hits: Sequence[int], weights: Sequence[int]
 ) -> FrozenSet[int]:
     """Exact minimum-weight vertex cover, branch and bound per component.
 
@@ -134,9 +132,9 @@ def _min_weight_vertex_cover(
     members = oracle.bits
     lightest = [min(weights[i] for i in members(e)) for e in points]
 
-    def matching_bound(uncovered: int) -> Fraction:
+    def matching_bound(uncovered: int) -> int:
         # a greedy matching on the uncovered edges, in ascending order
-        used, bound = 0, Fraction(0)
+        used, bound = 0, 0
         for k in range(uncovered.bit_length()):
             if uncovered >> k & 1 and not points[k] & used:
                 used |= points[k]
@@ -145,7 +143,7 @@ def _min_weight_vertex_cover(
 
     best: list = []
 
-    def rec(uncovered: int, cur_w: Fraction, chosen: int) -> None:
+    def rec(uncovered: int, cur_w: int, chosen: int) -> None:
         tick()
         if not uncovered:
             if cur_w < best[0]:
@@ -180,14 +178,14 @@ def _min_weight_vertex_cover(
             new &= ~comp
         todo &= ~comp
         init = _greedy(hits, weights, comp)
-        best[:] = sum((weights[i] for i in members(init)), Fraction(0)), init
-        rec(comp, Fraction(0), 0)
+        best[:] = sum(weights[i] for i in members(init)), init
+        rec(comp, 0, 0)
         cover |= best[1]
     return frozenset(members(cover))
 
 
 def _min_weight_set_cover(
-    points: Sequence[int], hits: Sequence[int], weights: Sequence[Fraction]
+    points: Sequence[int], hits: Sequence[int], weights: Sequence[int]
 ) -> FrozenSet[int]:
     """Exact minimum-weight set cover by branching on a hardest point.
 
@@ -202,10 +200,10 @@ def _min_weight_set_cover(
     branches = [sorted(members(s), key=lambda i: (weights[i], i)) for s in points]
     everything = (1 << len(points)) - 1
     init = _greedy(hits, weights, everything)
-    best = [sum((weights[i] for i in members(init)), Fraction(0)), init]
-    visited: Dict[int, Fraction] = {}
+    best = [sum(weights[i] for i in members(init)), init]
+    visited: Dict[int, int] = {}
 
-    def rec(uncovered: int, cur_w: Fraction, chosen: int) -> None:
+    def rec(uncovered: int, cur_w: int, chosen: int) -> None:
         tick()
         if not uncovered:
             if cur_w < best[0]:
@@ -221,7 +219,7 @@ def _min_weight_set_cover(
         for i in branches[point]:
             rec(uncovered & ~hits[i], cur_w + weights[i], chosen | 1 << i)
 
-    rec(everything, Fraction(0), 0)
+    rec(everything, 0, 0)
     return frozenset(members(best[1]))
 
 
@@ -249,8 +247,9 @@ def exact_min_cover(
         solve = _min_weight_vertex_cover
     else:
         solve = _min_weight_set_cover
-    cover = solve(points, hits, instance.weights)
-    return cover, total_weight(instance, cover)
+    weights = instance.frame.weights
+    cover = solve(points, hits, weights)
+    return cover, Fraction(sum(weights[i] for i in cover), instance.frame.weight_unit)
 
 
 def exact_extraction_number(

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import stat
 import threading
 
@@ -130,6 +131,39 @@ def test_5000_digit_weight_exits_2(tmp_path, capsys):
                      f'"weights": [{weight}]}}')
         code, _, _ = run(capsys, "bounds", str(p))
         assert code == 2
+
+
+def test_frame_unit_past_the_bit_cap_exits_3(tmp_path, capsys):
+    # 200 distinct 300-digit denominators, on the coordinates or on the
+    # weights: the frame's unit would pass 10^5 bits.
+    rng = random.Random(3)
+    dens = [rng.randrange(10**299, 10**300) | 1 for _ in range(200)]
+    objects = [{"a": k, "b": f"{k * d + 2 * d + 1}/{d}"} for k, d in enumerate(dens)]
+    on_coordinates = {"class": "intervals", "objects": objects}
+    on_weights = {"class": "intervals",
+                  "objects": [{"a": k, "b": k + 2} for k in range(200)],
+                  "weights": [f"1/{d}" for d in dens]}
+    for doc in (on_coordinates, on_weights):
+        p = tmp_path / "big.json"
+        p.write_text(json.dumps(doc))
+        for argv in (["color"], ["render"], ["verify", "--cover", "0"], ["extract"]):
+            code, _, _ = run(capsys, argv[0], str(p), *argv[1:])
+            assert code == 3, argv
+
+
+def test_reported_number_over_the_digit_limit_exits_3(tmp_path, capsys):
+    # Each weight fits the 4300-digit limit, but W and the ratios do not.
+    big = 10**2999
+    p = tmp_path / "pair.json"
+    p.write_text(json.dumps({
+        "class": "intervals",
+        "objects": [{"a": 0, "b": 2}, {"a": 1, "b": 3}],
+        "weights": [f"{big + 1}/{big + 2}", f"{big + 3}/{big + 4}"],
+        "points": [["3/2"]],
+    }))
+    for command in ("extract", "bounds"):
+        assert main([command, str(p)]) == 3
+        assert "4300-digit" in capsys.readouterr().err
 
 
 def test_size_cap_exit_3(tmp_path, capsys):

@@ -16,12 +16,14 @@ from geomextract import (
     ParseError,
     Ray,
     Segment,
+    SizeCapError,
     contains,
     depth,
     make_instance,
     parse_rational,
     total_weight,
 )
+from geomextract.core import MAX_UNIT_BITS
 
 
 def test_parse_rational_forms():
@@ -168,6 +170,34 @@ def test_instance_validation():
         )
     with pytest.raises(ValueError):
         Instance(ObjectClass.INTERVALS, (Interval(F(0), F(1)),), (), ())
+
+
+def test_frame_scales_weights_by_the_lcm_of_their_denominators():
+    inst = make_instance(
+        ObjectClass.INTERVALS,
+        [Interval(F(0), F(1, 4)), Interval(F(0), F(1)), Interval(F(1), F(2))],
+        weights=[F(1, 2), F(1, 3), F(5, 6)],
+    )
+    assert (inst.frame.unit, inst.frame.weight_unit) == (8, 6)
+    assert inst.frame.weights == (3, 2, 5)
+
+
+def test_frame_unit_past_the_bit_cap_raises():
+    # L = 2 * lcm of the coordinate denominators, D = lcm of the weight ones;
+    # a unit of exactly MAX_UNIT_BITS bits passes, one bit more raises.
+    def frame(coordinate_den, weight_den):
+        return make_instance(
+            ObjectClass.INTERVALS,
+            [Interval(F(0), F(1, coordinate_den))],
+            weights=[F(1, weight_den)],
+        ).frame
+
+    cap = MAX_UNIT_BITS
+    assert frame(2 ** (cap - 2), 1).unit.bit_length() == cap
+    assert frame(1, 2 ** (cap - 1)).weight_unit.bit_length() == cap
+    for coordinate_den, weight_den in ((2 ** (cap - 1), 1), (1, 2**cap)):
+        with pytest.raises(SizeCapError, match=f"^{cap + 1}-bit frame unit"):
+            frame(coordinate_den, weight_den)
 
 
 def test_coloring_validation():

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -172,6 +173,9 @@ def test_vertex_cover_path_matches_generic_search():
         points, hits = _search_input(inst)
         cover_fast = _min_weight_vertex_cover(points, hits, inst.weights)
         cover_generic = _min_weight_set_cover(points, hits, inst.weights)
+        # the frame's int weights (w * D) give the same covers as the Fractions
+        assert _min_weight_vertex_cover(points, hits, inst.frame.weights) == cover_fast
+        assert _min_weight_set_cover(points, hits, inst.frame.weights) == cover_generic
         assert exact_min_cover(inst) == (cover_fast, total_weight(inst, cover_fast))
         assert total_weight(inst, cover_fast) == total_weight(inst, cover_generic)
         assert check_cover(inst, cover_fast).covered
@@ -318,6 +322,32 @@ def test_extract_meets_w_over_kappa_and_never_beats_min_cover(cls, data):
     _, w_cover = exact_min_cover(inst)
     assert total_weight(inst, res.sol) >= w_cover
     assert all(depth(inst, p)[1] & res.sol for p in points)
+
+
+@pytest.mark.parametrize("cls", list(ObjectClass), ids=lambda c: c.value)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_exact_min_cover_matches_brute_force(cls, data):
+    # The cover searches add the frame's int weights; the lightest of all
+    # subsets that meet every target's coverers (by core.depth), summed on
+    # Fractions, must weigh the same as the cover they return.
+    objects = data.draw(st.lists(_OBJECTS[cls], min_size=1, max_size=8))
+    weights = data.draw(st.lists(
+        st.builds(F, st.integers(1, 10**6), st.integers(1, 10**6)),
+        min_size=len(objects), max_size=len(objects),
+    ))
+    points = list(enumerate_hyperedges(make_instance(cls, objects)).edges.values())
+    inst = make_instance(cls, objects, weights, points)
+    coverers = [depth(inst, p)[1] for p in points]
+    lightest = min(
+        sum((weights[i] for i in subset), F(0))
+        for r in range(inst.m + 1)
+        for subset in itertools.combinations(range(inst.m), r)
+        if all(c.intersection(subset) for c in coverers)
+    )
+    cover, weight = exact_min_cover(inst)
+    assert weight == lightest == total_weight(inst, cover)
+    assert all(c & cover for c in coverers)
 
 
 def test_chromatic_examples():

@@ -138,3 +138,20 @@ def test_search_loops_build_no_sets_or_tuples():
         "octants.py:_search_coloring:loop",
     ]
     assert found == []
+
+
+def test_cover_searches_name_no_fraction():
+    # The greedy cover and both exact cover searches add the weights they
+    # are given, the frame's ints (Frame.weights) on every library path.
+    tree = ast.parse((SOURCES[0].parent / "extraction.py").read_text(encoding="utf-8"))
+    searches = {"_greedy", "_min_weight_vertex_cover", "_min_weight_set_cover"}
+    funcs = [f for f in tree.body if getattr(f, "name", None) in searches]
+    assert len(funcs) == len(searches)
+    found = [
+        f"{func.name}:{node.lineno}"
+        for func in funcs
+        for node in ast.walk(func)
+        if {"Fraction", "as_integer_ratio"}
+        & {getattr(node, "id", None), getattr(node, "attr", None)}
+    ]
+    assert found == []
