@@ -16,8 +16,11 @@ inclusion-minimal coverer masks of the targets (oracle.minimal_masks; a
 cover of those covers every target) and hits[i], the mask of those points
 object i covers. They start from one greedy cover, and like the coloring
 search, which exact_chromatic runs once over k = 2, 3, ..., they raise
-SizeCapError past octants.SEARCH_NODE_BUDGET nodes. extract and the cover
-searches add the ints of Frame.weights (w * D); Fractions are only results.
+SizeCapError past octants.SEARCH_NODE_BUDGET nodes. Every exact search is a
+loop over an explicit stack (the coloring search: one color per depth), with
+no recursion, so no search depth overflows the interpreter's stack. extract
+and the cover searches add the ints of Frame.weights (w * D); Fractions are
+only results.
 """
 
 from __future__ import annotations
@@ -141,31 +144,6 @@ def _min_weight_vertex_cover(
                 bound += lightest[k]
         return bound
 
-    best: list = []
-
-    def rec(uncovered: int, cur_w: int, chosen: int) -> None:
-        tick()
-        if not uncovered:
-            if cur_w < best[0]:
-                best[:] = cur_w, chosen
-            return
-        if cur_w + matching_bound(uncovered) >= best[0]:
-            return
-        edge = points[(uncovered & -uncovered).bit_length() - 1]
-        u_bit = edge & -edge
-        u = u_bit.bit_length() - 1
-        # u in the cover
-        rec(uncovered & ~hits[u], cur_w + weights[u], chosen | u_bit)
-        # u excluded: every uncovered neighbor of u must enter
-        forced = 0
-        for k in members(hits[u] & uncovered):
-            forced |= points[k]
-        forced &= ~u_bit
-        for x in members(forced):
-            uncovered &= ~hits[x]
-            cur_w += weights[x]
-        rec(uncovered, cur_w, chosen | forced)
-
     cover = 0
     todo = (1 << len(points)) - 1
     while todo:
@@ -177,10 +155,33 @@ def _min_weight_vertex_cover(
                 new |= hits[(e & -e).bit_length() - 1] | hits[e.bit_length() - 1]
             new &= ~comp
         todo &= ~comp
-        init = _greedy(hits, weights, comp)
-        best[:] = sum(weights[i] for i in members(init)), init
-        rec(comp, 0, 0)
-        cover |= best[1]
+        best = _greedy(hits, weights, comp)
+        best_w = sum(weights[i] for i in members(best))
+        stack = [(comp, 0, 0)]  # (uncovered, weight, chosen) per open node
+        while stack:
+            uncovered, cur_w, chosen = stack.pop()
+            tick()
+            if not uncovered:
+                if cur_w < best_w:
+                    best_w, best = cur_w, chosen
+                continue
+            if cur_w + matching_bound(uncovered) >= best_w:
+                continue
+            edge = points[(uncovered & -uncovered).bit_length() - 1]
+            u_bit = edge & -edge
+            u = u_bit.bit_length() - 1
+            # u in the cover, searched first; else every uncovered neighbor
+            # of u must enter
+            take_u = (uncovered & ~hits[u], cur_w + weights[u], chosen | u_bit)
+            forced = 0
+            for k in members(hits[u] & uncovered):
+                forced |= points[k]
+            forced &= ~u_bit
+            for x in members(forced):
+                uncovered &= ~hits[x]
+                cur_w += weights[x]
+            stack += [(uncovered, cur_w, chosen | forced), take_u]
+        cover |= best
     return frozenset(members(cover))
 
 
@@ -199,28 +200,27 @@ def _min_weight_set_cover(
     members = oracle.bits
     branches = [sorted(members(s), key=lambda i: (weights[i], i)) for s in points]
     everything = (1 << len(points)) - 1
-    init = _greedy(hits, weights, everything)
-    best = [sum(weights[i] for i in members(init)), init]
+    best = _greedy(hits, weights, everything)
+    best_w = sum(weights[i] for i in members(best))
     visited: Dict[int, int] = {}
-
-    def rec(uncovered: int, cur_w: int, chosen: int) -> None:
+    stack = [(everything, 0, 0)]  # (uncovered, weight, chosen) per open node
+    while stack:
+        uncovered, cur_w, chosen = stack.pop()
         tick()
         if not uncovered:
-            if cur_w < best[0]:
-                best[0], best[1] = cur_w, chosen
-            return
-        if cur_w >= best[0]:
-            return
+            if cur_w < best_w:
+                best_w, best = cur_w, chosen
+            continue
+        if cur_w >= best_w:
+            continue
         prev = visited.get(uncovered)
         if prev is not None and prev <= cur_w:
-            return
+            continue
         visited[uncovered] = cur_w
         point = (uncovered & -uncovered).bit_length() - 1
-        for i in branches[point]:
-            rec(uncovered & ~hits[i], cur_w + weights[i], chosen | 1 << i)
-
-    rec(everything, 0, 0)
-    return frozenset(members(best[1]))
+        for i in reversed(branches[point]):  # popped in branch order
+            stack.append((uncovered & ~hits[i], cur_w + weights[i], chosen | 1 << i))
+    return frozenset(members(best))
 
 
 def exact_min_cover(

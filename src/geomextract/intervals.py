@@ -3,24 +3,25 @@
 Per connected component of the union, a greedy chain of "key" intervals is
 built: the first key starts leftmost (ties: longest, then lowest index), and
 each successor starts inside the current key, ends strictly later, and ends
-last. Keys are colored along the chain; every non-key interval falls into
-exactly one of three containment cases relative to the keys, which fixes its
-color. The case analysis is checked, never assumed: an interval matching no
-case raises AlgorithmInvariantError instead of being colored silently.
+last. Keys are colored along the chain, and every non-key interval [a, b]
+takes the color opposite one key: the first key ending at or after b, or the
+key before it if that one starts after a. That is the key which the paper's
+three containment cases pick (_color_component says why).
 
 Cost per component of n intervals: O(n log n). The chain is one sort plus
-a heap walk, and each non-key finds its containment case by bisection over
-the chain. color_line colors one line's intervals and checks the result by
-an endpoint sweep (find_monochromatic, also O(n log n)) before returning
-it; color_intervals and the segment and ray colorers all go through it.
-The colorer and the sweep only compare endpoints, so both read the
-instance frame's ints as they are; no second ranking is built.
+a heap walk, and each non-key finds its key by one bisection over the chain
+ends. color_line colors one line's intervals and checks the result by an
+endpoint sweep (find_monochromatic, also O(n log n)) before returning it;
+color_intervals and the segment and ray colorers all go through it, so the
+sweep, not the colorer, is the check of every line coloring. The colorer
+and the sweep only compare endpoints, so both read the instance frame's ints
+as they are; no second ranking is built.
 """
 
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -96,21 +97,6 @@ def build_key_chain(pairs: Sequence[Pair], component: Sequence[int]) -> KeyChain
             break
         keys.append(heap[0][2])
 
-    # Chain shape: successor starts inside predecessor and ends strictly later.
-    for j in range(len(keys) - 1):
-        aj, bj = pairs[keys[j]]
-        an, bn = pairs[keys[j + 1]]
-        if not aj <= an <= bj < bn:
-            raise AlgorithmInvariantError(
-                "key chain shape violated", witness=(keys[j], keys[j + 1])
-            )
-    # Non-consecutive keys are disjoint (the chain observation).
-    for j in range(len(keys) - 2):
-        if pairs[keys[j]][1] >= pairs[keys[j + 2]][0]:
-            raise AlgorithmInvariantError(
-                "key chain observation violated: non-neighbor keys intersect",
-                witness=(keys[j], keys[j + 2]),
-            )
     # Keys cover the whole component.
     lo = min(pairs[i][0] for i in component)
     hi = max(pairs[i][1] for i in component)
@@ -129,66 +115,37 @@ def _color_component(pairs: Sequence[Pair], chain: KeyChain, colors: dict) -> No
     )
     key_starts = [pairs[k][0] for k in keys]
     key_ends = [pairs[k][1] for k in keys]
-    # overlap j = keys[j] cap keys[j+1] = [a_{j+1}, b_j], nonempty by chain
-    # shape. Key starts, key ends and so both overlap bounds are
-    # non-decreasing along the chain.
-    overlap_starts = key_starts[1:]
-    overlap_ends = key_ends[:-1]
 
-    # Keys j and j+1 share a color iff some non-key contains overlap j: sweep
-    # the overlaps left to right with the farthest end of the non-keys
-    # starting at or before the overlap.
+    # Keys j and j+1 share a color iff some non-key contains their overlap
+    # [a_{j+1}, b_j]: sweep the overlaps left to right with the farthest end
+    # of the non-keys starting at or before the overlap.
     colors[keys[0]] = 1
     reach = key_starts[0]  # below every overlap end
     n = 0
-    for j, (olo, ohi) in enumerate(zip(overlap_starts, overlap_ends)):
+    for j, (olo, ohi) in enumerate(zip(key_starts[1:], key_ends)):
         while n < len(nonkeys) and pairs[nonkeys[n]][0] <= olo:
             reach = max(reach, pairs[nonkeys[n]][1])
             n += 1
         prev = colors[keys[j]]
         colors[keys[j + 1]] = prev if reach >= ohi else 3 - prev
 
-    # The keys (or overlaps) containing [a, b] are those starting at or
-    # before a and ending at or after b; those inside [a, b] start at or
-    # after a and end at or before b. Either way one contiguous run of the
-    # chain, found by bisection.
+    # Each non-key [a, b] takes the color opposite key j, the first key
+    # ending at or after b, or opposite key j - 1 if key j starts after a.
+    # That is the key of its containment case, as key starts and ends grow
+    # along the chain and keys that are not neighbours are disjoint:
+    # - inside overlap j: key j - 1 ends before the overlap, and key j
+    #   contains [a, b];
+    # - inside one key: that is key j, or key j would hold [a, b] too and
+    #   [a, b] would lie inside the two keys' overlap;
+    # - inside no key: key j starts after a and [a, b] contains overlap
+    #   j - 1 = [a_j, b_{j-1}], so it may be the witness that keys j - 1
+    #   and j share a color.
     for i in nonkeys:
         a, b = pairs[i]
-        # Case 1: inside a key-overlap. Such an interval can itself be the
-        # witness that kept the key pair same-colored (it contains the
-        # overlap whenever it equals it), so "any" color is not safe: it
-        # must oppose the left key. Overlaps are pairwise disjoint because
-        # key ends increase strictly along the chain, so the choice is
-        # unambiguous.
-        lo = bisect_left(overlap_ends, b)
-        hi = bisect_right(overlap_starts, a)
-        if hi > lo:
-            if hi - lo != 1:
-                raise AlgorithmInvariantError(
-                    "interval inside two key-overlaps", witness=i
-                )
-            colors[i] = 3 - colors[keys[lo]]
-            continue
-        # Case 2: inside a unique key.
-        lo = bisect_left(key_ends, b)
-        hi = bisect_right(key_starts, a)
-        if hi > lo:
-            if hi - lo != 1:
-                raise AlgorithmInvariantError(
-                    "non-key interval inside two keys but not their overlap",
-                    witness=i,
-                )
-            colors[i] = 3 - colors[keys[lo]]
-            continue
-        # Case 3: contains a unique key-overlap.
-        lo = bisect_left(overlap_starts, a)
-        hi = bisect_right(overlap_ends, b)
-        if hi - lo != 1:
-            raise AlgorithmInvariantError(
-                "non-key interval matches no containment case of the key chain",
-                witness=i,
-            )
-        colors[i] = 3 - colors[keys[lo]]
+        j = bisect_left(key_ends, b)
+        if key_starts[j] > a:
+            j -= 1
+        colors[i] = 3 - colors[keys[j]]
 
 
 def two_color(pairs: Sequence[Pair]) -> List[int]:

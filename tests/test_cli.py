@@ -2,6 +2,7 @@ import json
 import os
 import random
 import stat
+import sys
 import threading
 
 import pytest
@@ -223,6 +224,32 @@ def test_bounds_on_a_deep_chain_exits_0(tmp_path, capsys):
                           "--chromatic-cap", "1000")
     assert code == 0
     assert report["result"]["chromatic"] == 2
+
+
+def test_bounds_cover_search_needs_no_stack_depth(tmp_path, capsys):
+    # 300 intervals [k, k + 3] and a target in every triple overlap: the set
+    # cover's first descent goes about 100 picks deep. A recursive search
+    # overflowed this lowered limit (a RecursionError traceback, exit 1);
+    # 60 frames is about twice what the command needs around its searches.
+    p = tmp_path / "chain.json"
+    p.write_text(json.dumps({
+        "class": "intervals",
+        "objects": [{"a": k, "b": k + 3} for k in range(300)],
+        "points": [[f"{2 * k + 7}/2"] for k in range(297)],
+    }))
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 60)
+    try:
+        code = main(["bounds", str(p), "--size-cap", "300", "--chromatic-cap", "0"])
+    finally:
+        sys.setrecursionlimit(limit)
+    out, err = capsys.readouterr()
+    assert code == 0
+    assert err == ""
+    assert json.loads(out)["result"]["min_cover_weight"] == 99
 
 
 def test_negative_caps_exit_2(tmp_path, capsys):

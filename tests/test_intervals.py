@@ -222,13 +222,18 @@ def _reference_two_color(pairs):
     return [colors[i] for i in range(len(pairs))], chains
 
 
-def _random_pairs(rng, n):
+def _random_pairs(rng, n, ints=False):
     """Half-integer endpoints on a short range, with duplicates and nesting
-    common and touching endpoints frequent."""
+    common and touching endpoints frequent; with ints, integer endpoints on
+    a shorter range (the frame's ints), so most endpoints tie."""
     pairs = []
     for _ in range(n):
-        a = F(rng.randint(0, 40), 2)
-        pairs.append((a, a + F(rng.randint(1, 16), 2)))
+        if ints:
+            a = rng.randint(0, 12)
+            pairs.append((a, a + rng.randint(1, 5)))
+        else:
+            a = F(rng.randint(0, 40), 2)
+            pairs.append((a, a + F(rng.randint(1, 16), 2)))
     for _ in range(rng.randint(0, n // 4)):
         pairs.append(rng.choice(pairs))  # duplicate
     for _ in range(rng.randint(0, n // 4)):
@@ -240,8 +245,8 @@ def _random_pairs(rng, n):
 
 def test_colorer_matches_quadratic_reference():
     rng = random.Random(20261019)
-    for _ in range(1200):
-        pairs = _random_pairs(rng, rng.randint(1, 40))
+    for k in range(2400):
+        pairs = _random_pairs(rng, rng.randint(1, 40), ints=k % 2 == 1)
         expected_colors, expected_chains = _reference_two_color(pairs)
         chains = [build_key_chain(pairs, c).keys for c in connected_components(pairs)]
         assert chains == expected_chains, pairs
