@@ -241,10 +241,7 @@ def _cmd_verify(args) -> tuple:
             subset = [int(tok) for tok in args.cover.split(",") if tok.strip()]
         except ValueError:
             raise ParseError(f"bad --cover list: {args.cover!r}") from None
-        try:
-            verdict = oracle.check_cover(instance, subset)
-        except IndexError as exc:
-            raise ParseError(str(exc)) from None
+        verdict = oracle.check_cover(instance, subset)
         result = {"verdict": "covers" if verdict.covered else "uncovered"}
         if not verdict.covered:
             result["uncovered_point"] = [rational_repr(v) for v in verdict.point]

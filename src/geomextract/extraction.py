@@ -14,7 +14,8 @@ octants, the same edges as minimal apex join covers (octants.join_cover_edges),
 with no grid walk. Both cover searches read one mask model: the
 inclusion-minimal coverer masks of the targets (oracle.minimal_masks; a
 cover of those covers every target) and hits[i], the mask of those points
-object i covers. They start from one greedy cover, and like the coloring
+object i covers. They start from one greedy cover, memoize each node's
+uncovered mask with the least weight it was reached at, and like the coloring
 search, which exact_chromatic runs once over k = 2, 3, ..., they raise
 SizeCapError past octants.SEARCH_NODE_BUDGET nodes. Every exact search is a
 loop over an explicit stack (the coloring search: one color per depth), with
@@ -130,6 +131,8 @@ def _min_weight_vertex_cover(
     Every point has two coverers, so points[k] is an edge {u, v} (u < v) of
     the conflict graph, in ascending (u, v) order, and hits[i] is the mask
     of the edges at i. A component grows from its lowest edge through hits.
+    As in the set cover, a node whose uncovered mask was reached before at
+    no greater weight is pruned: its subtree depends on the mask alone.
     """
     tick = octants.node_budget("vertex cover search")
     members = oracle.bits
@@ -157,6 +160,7 @@ def _min_weight_vertex_cover(
         todo &= ~comp
         best = _greedy(hits, weights, comp)
         best_w = sum(weights[i] for i in members(best))
+        visited: Dict[int, int] = {}
         stack = [(comp, 0, 0)]  # (uncovered, weight, chosen) per open node
         while stack:
             uncovered, cur_w, chosen = stack.pop()
@@ -167,6 +171,10 @@ def _min_weight_vertex_cover(
                 continue
             if cur_w + matching_bound(uncovered) >= best_w:
                 continue
+            prev = visited.get(uncovered)
+            if prev is not None and prev <= cur_w:
+                continue
+            visited[uncovered] = cur_w
             edge = points[(uncovered & -uncovered).bit_length() - 1]
             u_bit = edge & -edge
             u = u_bit.bit_length() - 1

@@ -8,19 +8,18 @@ takes the color opposite one key: the first key ending at or after b, or the
 key before it if that one starts after a. That is the key which the paper's
 three containment cases pick (_color_component says why).
 
-Cost per component of n intervals: O(n log n). The chain is one sort plus
-a heap walk, and each non-key finds its key by one bisection over the chain
-ends. color_line colors one line's intervals and checks the result by an
-endpoint sweep (find_monochromatic, also O(n log n)) before returning it;
-color_intervals and the segment and ray colorers all go through it, so the
-sweep, not the colorer, is the check of every line coloring. The colorer
-and the sweep only compare endpoints, so both read the instance frame's ints
-as they are; no second ranking is built.
+Cost per component of n intervals: O(n log n). The chain is one sort and
+one scan (the coloring reuses the sorted order), and each non-key finds its
+key by one bisection over the chain ends. color_line colors one line's
+intervals and checks the result by an endpoint sweep (find_monochromatic,
+also O(n log n)) before returning it; color_intervals and the segment and
+ray colorers all go through it, so the sweep, not the colorer, is the check
+of every line coloring. The colorer and the sweep only compare endpoints,
+so both read the instance frame's ints as they are; no second ranking.
 """
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,7 +40,7 @@ Pair = Tuple[Fraction, Fraction]  # (a, b), a < b; frame ints on the coloring pa
 class KeyChain:
     """Key intervals spanning one connected component, in chain order."""
 
-    component: tuple  # all indices of the component
+    component: tuple  # all indices of the component, by (start, -end, index)
     keys: tuple  # chain i^1 .. i^tau
 
 
@@ -71,48 +70,39 @@ def connected_components(pairs: Sequence[Pair]) -> List[List[int]]:
 
 
 def build_key_chain(pairs: Sequence[Pair], component: Sequence[int]) -> KeyChain:
-    """Greedy key chain of a connected component.
+    """Greedy key chain of a connected component: one sort and one scan.
 
-    One sort by (start, -end, index) and a heap keyed (-end, start, index):
-    an interval is pushed once its start reaches the current key's end, and
-    entries starting before the current key are dropped lazily from the top
-    (key starts only grow). The top then ends last among the intervals
-    starting inside the current key; it is the successor if it ends later.
-    A former key never ends later than the current one, so it is never
-    picked again.
+    The component is sorted by (start, -end, index). For the current key,
+    ending at e, the scan walks on while starts are <= e and keeps the first
+    interval whose end beats the best end so far (from e): the next key, or
+    with none the chain ends. Intervals walked before end no later than the
+    current key (it ended last among them), so this round's walk alone finds
+    the one ending last, ties to the lowest (start, index). The scan reaches
+    every interval iff the component is connected, and then the last key
+    ends last, so the chain spans it.
     """
     order = sorted(component, key=lambda i: (pairs[i][0], -pairs[i][1], i))
-    keys = [order[0]]
-    heap: list = []
-    nxt = 0
-    while True:
-        a_cur, b_cur = pairs[keys[-1]]
-        while nxt < len(order) and pairs[order[nxt]][0] <= b_cur:
+    keys, nxt = [], 0
+    best, best_end = order[0], pairs[order[0]][1]
+    while best is not None:
+        keys.append(best)
+        end, best = best_end, None
+        while nxt < len(order) and pairs[order[nxt]][0] <= end:
             i = order[nxt]
-            heapq.heappush(heap, (-pairs[i][1], pairs[i][0], i))
+            if pairs[i][1] > best_end:
+                best, best_end = i, pairs[i][1]
             nxt += 1
-        while heap[0][1] < a_cur:
-            heapq.heappop(heap)
-        if -heap[0][0] <= b_cur:
-            break
-        keys.append(heap[0][2])
-
-    # Keys cover the whole component.
-    lo = min(pairs[i][0] for i in component)
-    hi = max(pairs[i][1] for i in component)
-    if pairs[keys[0]][0] != lo or pairs[keys[-1]][1] != hi:
+    if nxt < len(order):
         raise AlgorithmInvariantError(
             "key chain does not span the component", witness=tuple(keys)
         )
-    return KeyChain(tuple(component), tuple(keys))
+    return KeyChain(tuple(order), tuple(keys))
 
 
 def _color_component(pairs: Sequence[Pair], chain: KeyChain, colors: dict) -> None:
     keys = chain.keys
     key_set = set(keys)
-    nonkeys = sorted(
-        (i for i in chain.component if i not in key_set), key=lambda i: pairs[i][0]
-    )
+    nonkeys = [i for i in chain.component if i not in key_set]  # in start order
     key_starts = [pairs[k][0] for k in keys]
     key_ends = [pairs[k][1] for k in keys]
 

@@ -312,6 +312,14 @@ def test_verify_cover_subcommand(tmp_path, capsys):
     assert report["result"]["verdict"] == "uncovered"
 
 
+def test_verify_cover_unknown_index_exits_2(tmp_path, capsys):
+    p = tmp_path / "pair.json"
+    run(capsys, "gen", "--kind", "interval-pair", "--out", str(p))
+    assert main(["verify", str(p), "--cover", "0,99"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: unknown object index 99\n")
+
+
 def test_color_and_extract_octant4(tmp_path, capsys):
     p = tmp_path / "oct.json"
     run(capsys, "gen", "--kind", "octant4", "--out", str(p))

@@ -215,6 +215,24 @@ def test_cover_searches_raise_past_the_node_budget(monkeypatch):
             exact_min_cover(inst)
 
 
+def test_vertex_cover_finishes_a_weighted_path(monkeypatch):
+    # Intervals [k, k + 2] weighted 1 + k mod 3, a target in every pairwise
+    # overlap: the conflict graph is a weighted path. The matching bound
+    # alone needs over 10^6 nodes here, the uncovered-mask memo under a
+    # thousand, so the lowered budget holds only with the memo.
+    n = 60
+    inst = make_instance(
+        ObjectClass.INTERVALS,
+        [Interval(F(k), F(k + 2)) for k in range(n)],
+        weights=[F(1 + k % 3) for k in range(n)],
+        points=[(F(2 * k + 3, 2),) for k in range(n - 1)],
+    )
+    monkeypatch.setattr(octants, "SEARCH_NODE_BUDGET", 10_000)
+    cover, weight = exact_min_cover(inst, size_cap=n)
+    assert weight == 59
+    assert check_cover(inst, cover).covered
+
+
 def _pinned_cover_instances():
     # Every class, 1-16 objects, four weight and target variants: unit
     # weights (many ties) on all targets or on the targets of exactly two

@@ -157,14 +157,26 @@ def test_duplicate_intervals_stay_proper():
 
 
 def test_key_chain_invariant_survives_without_asserts():
-    # A "component" that is not connected cannot be spanned by one chain.
+    # A "component" that is not connected cannot be spanned by one chain:
+    # the scan stops short of it and raises with the keys built so far.
     with pytest.raises(AlgorithmInvariantError) as info:
         build_key_chain([(F(0), F(1)), (F(5), F(6))], [0, 1])
     assert info.value.witness == (0,)
+    rng = random.Random(20261022)
+    for k in range(1200):
+        pairs = _random_pairs(rng, rng.randint(2, 30), ints=k % 2 == 1)
+        subset = [i for i in range(len(pairs)) if rng.random() < 0.5] or [0]
+        expected = _reference_keys(pairs, subset)
+        if len(connected_components([pairs[i] for i in subset])) == 1:
+            assert build_key_chain(pairs, subset).keys == expected, (pairs, subset)
+            continue
+        with pytest.raises(AlgorithmInvariantError) as info:
+            build_key_chain(pairs, subset)
+        assert info.value.witness == expected, (pairs, subset)
 
 
 # ---------------------------------------------------------------------------
-# The quadratic colorer the heap/bisect one replaced, kept as a reference:
+# The quadratic colorer the scan/bisect one replaced, kept as a reference:
 # each key rescans the component, each overlap scans every non-key, each
 # non-key scans every overlap and key.
 # ---------------------------------------------------------------------------
